@@ -198,22 +198,18 @@ def enumerate_Pn(n: int, theta: int, oracle: bool = False) -> Tuple[Tuple[Lambda
 # ---------------------------------------------------------------------------
 # spectral extraction oracle
 
-def _three_cycle_sum(theta: int, n: int) -> np.ndarray:
-    """Dense matrix of the sum of all 3-cycles acting by place permutation."""
-    from .spectra import _check_cap
-    from .brauer import _perm_indices
+def _three_cycle_blocks(theta: int, n: int, keyed: bool = True):
+    """Sum of all 3-cycles acting by place permutation, one block per charge
+    sector (a single block in the standard basis when not keyed)."""
+    from .spectra import sector_basis
 
-    _check_cap(theta, n)
-    N = theta**n
-    out = np.zeros((N, N))
-    cols = np.arange(N)
-    for x, y, z in itertools.combinations(range(1, n + 1), 3):
+    cycles = []
+    for x, y, z in itertools.combinations(range(n), 3):
         for cyc in ((y, z, x), (z, x, y)):
-            sigma = list(range(1, n + 1))
-            sigma[x - 1], sigma[y - 1], sigma[z - 1] = cyc
-            rows = _perm_indices(sigma, theta, n)
-            np.add.at(out, (rows, cols), 1.0)
-    return out
+            sigma = list(range(n))
+            sigma[x], sigma[y], sigma[z] = cyc
+            cycles.append(sigma)
+    return sector_basis(theta, n, keyed).permutation_sum(cycles)
 
 
 def _omega3(rho: Partition) -> float:
@@ -292,9 +288,11 @@ def spectral_extract_branching(
     else:
         raise UnresolvedExtractionError("could not separate invariant groups")
 
-    sum_t, sum_b = spectra.sum_pair_ops(theta, n, "Q")
-    ham = -(l1 * sum_t + l2 * sum_b)
-    evals, evecs = np.linalg.eigh(ham)
+    # H0 is block-diagonal by charge; so is every place permutation
+    _, blocks_t, blocks_b = spectra.sector_pair_ops(theta, n, "Q")
+    solved = [np.linalg.eigh(-(l1 * t + l2 * b)) for t, b in zip(blocks_t, blocks_b)]
+    evals = np.concatenate([e for e, _ in solved])
+    offsets = np.cumsum([0] + [len(e) for e, _ in solved])
 
     match_tol = 1e-7 * max(1.0, float(np.max(np.abs(evals))))
     values = np.array([predicted(k, l1, l2) for k in group_keys])
@@ -334,10 +332,11 @@ def spectral_extract_branching(
                 sols.append(combo)
         if len(sols) > 1:
             if c3 is None:
-                c3 = _three_cycle_sum(theta, n)
-            sel = np.nonzero(assign == gi)[0]
-            block = evecs[:, sel]
-            moment = float(np.real(np.sum(np.conj(block) * (c3 @ block))))
+                c3 = _three_cycle_blocks(theta, n)
+            moment = 0.0
+            for k, (_, evecs) in enumerate(solved):
+                block = evecs[:, assign[offsets[k]:offsets[k + 1]] == gi]
+                moment += float(np.sum(block * (c3[k] @ block)))
             omegas = [_omega3(candidates[i].rho) for i in live]
             sols = [
                 combo

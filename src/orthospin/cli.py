@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 regime not
-covered by the theory (NOT_PROVEN).  All floats print with 17 significant
+Exit codes: 0 success, 1 verification failure, 2 usage error (any ValueError,
+e.g. non-finite couplings or an exceeded dense cap), 3 regime not covered by
+the theory (NOT_PROVEN).  All floats print with 17 significant
 digits so identical configs give byte-identical output; the environment
 variable ORTHO_SPIN_DENSE_CAP overrides the dense-matrix cap.
 """
@@ -56,7 +57,17 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]) ->
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """Report a ValueError raised by any command as a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact solver for the orthogonal-invariant spin system on the
     complete graph."""
@@ -97,7 +108,8 @@ def zexact(theta, n, p1, p2, h, flavor):
 @_add_options(_common)
 def zchar(theta, n, p1, p2, h, flavor):
     """Character-decomposition partition function."""
-    z = spectra.z_decomposed(n, theta, p1, p2, h=h)
+    spectra.HamiltonianSpec(theta, n, p1, p2, h=h, flavor=flavor)  # validates the input
+    z = spectra.z_decomposed(n, theta, p1, p2, h=h, flavor=flavor)
     _echo_json(
         {"command": "zchar", "n": n, "theta": theta, "L1": p1, "L2": p2,
          "h": h, "Z": z, "log_Z_over_n": math.log(z) / n}

@@ -14,6 +14,22 @@ Conventions
   which the orthogonal character is evaluated at exp(h W).
 * Reported eigenvalues are eigenvalues of H; the division by n happens only
   inside partition functions.
+
+Dense route
+-----------
+The dense trace never builds a theta^n x theta^n matrix.  In a one-site
+basis where the pair vector reads sum_i s_i |i, theta-1-i> (the torus
+basis), sum T and sum B are block-diagonal in the net charges
+q_i = #i - #(theta-1-i), i < theta//2: place permutations keep the digit
+counts, and a bar trades one charge-free pair (i, theta-1-i) for another.
+A field matrix W that preserves the flavor's pair form (W^T J + J W = 0)
+acts on the sector of charges q as the scalar sum_k y_k q_k, with +-y_k the
+torus weights of W.  z_direct therefore diagonalizes small real blocks once
+per coupling and weights each block by exp(h sum_k y_k q_k); a W that
+breaks the form is rejected.  The blocks come from index arithmetic on the
+base-theta digits of the basis states, and the same assembler gives the
+standard-basis operators (one sector) used by build_hamiltonian and the
+ground-state checks.
 """
 
 from __future__ import annotations
@@ -25,10 +41,8 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import branching
-from .brauer import embed_pair, pair_p_matrix, pair_q_matrix, pair_t_matrix
 from .group_chars import FieldDirection, char_o_field, dim_o
 from .partitions import Partition, content_sum
 from .tableaux import dim_sn
@@ -71,15 +85,6 @@ def validate_w(w: np.ndarray) -> None:
         raise ValueError("W must be Hermitian so the Hamiltonian is Hermitian")
 
 
-def field_direction_of(w: np.ndarray, theta: int) -> FieldDirection:
-    """Positive spectrum half of W, sorted descending."""
-    eig = np.linalg.eigvalsh(w)
-    eig = np.sort(eig)[::-1]
-    r = theta // 2
-    pos = tuple(max(float(x), 0.0) for x in eig[:r])
-    return FieldDirection(theta, pos)
-
-
 @dataclass
 class HamiltonianSpec:
     theta: int
@@ -91,8 +96,13 @@ class HamiltonianSpec:
     field_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.theta < 2 or self.n < 1:
+            raise ValueError("need n >= 1 and theta >= 2")
         if self.flavor not in ("Q", "P"):
             raise ValueError(f"unknown flavor {self.flavor}")
+        for name in ("L1", "L2", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.field_matrix is None:
             self.field_matrix = default_w(self.theta)
         validate_w(self.field_matrix)
@@ -114,22 +124,135 @@ def line_eigenvalue(lam: Partition, k: int, rho: Partition,
 
 
 # ---------------------------------------------------------------------------
-# dense operators
+# dense operators (see "Dense route" in the module docstring)
+
+@dataclass(frozen=True)
+class SectorBasis:
+    """Product basis of (C^theta)^n grouped into charge sectors."""
+
+    theta: int
+    n: int
+    digits: np.ndarray   # (N, n) base-theta digits, site 1 most significant
+    sector: np.ndarray   # (N,) sector of each state
+    local: np.ndarray    # (N,) position of each state inside its sector
+    sizes: np.ndarray    # (S,) sector dimensions
+    charges: np.ndarray  # (S, theta//2) net charges; (1, 0) when unkeyed
+
+    def blocks(self, rows: np.ndarray, cols: np.ndarray,
+               vals: Optional[np.ndarray] = None) -> List[np.ndarray]:
+        """Sum matrix entries, given by global state indices, into one dense
+        block per sector.  No entry may connect two sectors."""
+        offsets = np.concatenate(([0], np.cumsum(self.sizes**2)))
+        s = self.sector[cols]
+        flat = offsets[s] + self.local[rows] * self.sizes[s] + self.local[cols]
+        weights = np.ones(flat.shape) if vals is None else vals
+        buf = np.bincount(flat.ravel(), weights.ravel(), minlength=offsets[-1])
+        buf.setflags(write=False)  # the blocks are cached and shared
+        return [buf[offsets[k]:offsets[k + 1]].reshape(m, m)
+                for k, m in enumerate(self.sizes)]
+
+    def permutation_sum(self, sigmas: Sequence[Sequence[int]]) -> List[np.ndarray]:
+        """Blocks of the sum of place permutations; sigma moves the digit at
+        site x to site sigma[x] (0-based)."""
+        powers = self.theta ** (self.n - 1 - np.asarray(sigmas, dtype=np.int64).reshape(-1, self.n))
+        rows = self.digits @ powers.T
+        cols = np.broadcast_to(np.arange(len(self.digits))[:, None], rows.shape)
+        return self.blocks(rows, cols)
+
+
+@lru_cache(maxsize=32)
+def sector_basis(theta: int, n: int, keyed: bool = True) -> SectorBasis:
+    """The theta^n product states, keyed by net charge (or one sector)."""
+    _check_cap(theta, n)
+    N = theta**n
+    idx = np.arange(N)
+    digits = (idx[:, None] // theta ** np.arange(n - 1, -1, -1)) % theta
+    if keyed:
+        counts = np.stack([np.count_nonzero(digits == a, axis=1) for a in range(theta)], 1)
+        r = theta // 2
+        q = counts[:, :r] - counts[:, ::-1][:, :r]
+        charges, sector = np.unique(q, axis=0, return_inverse=True)
+        sector = sector.reshape(N)
+    else:
+        charges, sector = np.zeros((1, 0), dtype=np.int64), np.zeros(N, dtype=np.int64)
+    sizes = np.bincount(sector)
+    local = np.empty(N, dtype=np.int64)
+    local[np.argsort(sector, kind="stable")] = idx - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return SectorBasis(theta, n, digits, sector, local, sizes, charges)
+
+
+def pair_form(theta: int, flavor: str) -> np.ndarray:
+    """The bilinear form J of the flavor's pair vector sum_ab J_ab |a,b>:
+    the identity for Q, J_{i,theta-1-i} = (-1)^i for P."""
+    if flavor == "Q":
+        return np.eye(theta)
+    return np.fliplr(np.diag((-1.0) ** np.arange(theta)))
+
+
+def _pair_sums(basis: SectorBasis, partner: np.ndarray,
+               signs: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Blocks of (sum T_{x,y}, sum B_{x,y}) over x < y, where B = |u><u| for
+    the pair vector u = sum_i signs[i] |i, partner[i]>."""
+    theta, n, d = basis.theta, basis.n, basis.digits
+    x, y = np.triu_indices(n, 1)
+    swaps = np.tile(np.arange(n), (len(x), 1))
+    swaps[np.arange(len(x)), x] = y
+    swaps[np.arange(len(x)), y] = x
+    # B_{x,y} maps a state whose digits (a, partner[a]) at (x, y) hold a term
+    # of u to sum_b signs[a] signs[b] |..., b, partner[b], ...>
+    state, k = np.nonzero(d[:, y] == partner[d[:, x]])
+    a = d[state, x[k]]
+    px, py = theta ** (n - 1 - x[k, None]), theta ** (n - 1 - y[k, None])
+    b = np.arange(theta)
+    rows = state[:, None] + (b - a[:, None]) * px + (partner[b] - partner[a, None]) * py
+    cols = np.broadcast_to(state[:, None], rows.shape)
+    vals = signs[a, None] * signs[b]
+    return basis.permutation_sum(swaps), basis.blocks(rows, cols, vals)
+
 
 @lru_cache(maxsize=32)
 def sum_pair_ops(theta: int, n: int, flavor: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(sum of T_{x,y}, sum of B_{x,y}) over unordered pairs x < y."""
-    _check_cap(theta, n)
-    N = theta**n
-    t2 = pair_t_matrix(theta)
-    b2 = pair_q_matrix(theta) if flavor == "Q" else pair_p_matrix(theta)
-    sum_t = np.zeros((N, N))
-    sum_b = np.zeros((N, N))
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            sum_t += embed_pair(t2, theta, n, x, y)
-            sum_b += embed_pair(b2, theta, n, x, y)
+    """(sum of T_{x,y}, sum of B_{x,y}) over unordered pairs x < y, in the
+    standard basis (one sector)."""
+    form = pair_form(theta, flavor)
+    partner = np.argmax(np.abs(form), axis=1)
+    (sum_t,), (sum_b,) = _pair_sums(
+        sector_basis(theta, n, keyed=False), partner, form[np.arange(theta), partner]
+    )
     return sum_t, sum_b
+
+
+@lru_cache(maxsize=32)
+def sector_pair_ops(theta: int, n: int,
+                    flavor: str) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """(charges, blocks of sum T, blocks of sum B) in the torus basis.
+
+    A unitary change of one-site basis takes the flavor's pair vector to
+    sum_i s_i |i, theta-1-i>, with s_i = 1 for Q and for P at odd theta (both
+    forms are symmetric) and s_i = (-1)^i for P at even theta (a symplectic
+    form); the spectrum of every block is basis independent.
+    """
+    basis = sector_basis(theta, n)
+    symplectic = flavor == "P" and theta % 2 == 0
+    signs = (-1.0) ** np.arange(theta) if symplectic else np.ones(theta)
+    sum_t, sum_b = _pair_sums(basis, np.arange(theta)[::-1], signs)
+    return basis.charges, sum_t, sum_b
+
+
+def field_weights(spec: HamiltonianSpec) -> np.ndarray:
+    """Torus weights y_1 >= ... >= y_r of the field matrix W.
+
+    sum_x W_x commutes with H0 only when W preserves the flavor's pair form
+    (W^T J + J W = 0); then W is diagonal in a torus basis with weights
+    +-y_k on the charged digits and sum_x W_x = sum_k y_k q_k on each sector.
+    """
+    w, form = spec.field_matrix, pair_form(spec.theta, spec.flavor)
+    if not np.allclose(w.T @ form + form @ w, 0.0, atol=1e-12):
+        raise ValueError(
+            f"field matrix does not preserve the flavor-{spec.flavor} pair form "
+            "(W^T J + J W != 0), so sum_x W_x does not commute with H0"
+        )
+    return np.sort(np.linalg.eigvalsh(w))[::-1][: spec.theta // 2]
 
 
 def embed_site(op1: np.ndarray, theta: int, n: int, x: int) -> np.ndarray:
@@ -209,26 +332,36 @@ def spectral_lines(n: int, theta: int, L1: float, L2: float,
 def z_direct(spec: HamiltonianSpec) -> float:
     """tr[exp(-H0/n) exp(h sum_x W_x)] by dense diagonalization.
 
-    The field couples per site (not divided by n); at h=0 this is the plain
-    sum of exp(-E/n) over the dense spectrum of H0.
+    The field couples per site (not divided by n).  H0 is diagonalized block
+    by block in the torus basis, where exp(h sum_x W_x) is the scalar
+    exp(h sum_k y_k q_k) on the sector of charges q, so every h reuses the
+    same blocks; W must preserve the flavor's pair form.
     """
     _check_cap(spec.theta, spec.n)
-    sum_t, sum_b = sum_pair_ops(spec.theta, spec.n, spec.flavor)
-    a = (spec.L1 * sum_t + spec.L2 * sum_b) / spec.n
-    if spec.h != 0.0:
-        a = a.astype(complex) + spec.h * sum_field_op(spec.theta, spec.n, spec.field_matrix)
-    eig = np.linalg.eigvalsh(a)
-    return float(np.sum(np.exp(eig)))
+    charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
+    fields = spec.h * (charges @ field_weights(spec)) if spec.h else np.zeros(len(charges))
+    total = 0.0
+    for m, t, b in zip(fields, blocks_t, blocks_b):
+        eig = np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n)
+        total += math.exp(m) * float(np.sum(np.exp(eig)))
+    return total
 
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
                  direction: Optional[FieldDirection] = None,
-                 mode: str = "exact") -> float:
+                 mode: str = "exact", flavor: str = "Q") -> float:
     """Character-sum partition function over the positive branching lines.
 
     Each line contributes chi_lam(exp(hW)) * b * dim_sn(rho) * exp(-E/n),
-    with the character replaced by the plain dimension at h = 0.
+    with the character replaced by the plain dimension at h = 0.  The lines
+    are those of flavor Q, which is unitarily equivalent to P at odd theta;
+    at theta = 2, P = 1 - T gives Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0),
+    and P at even theta >= 4 has no lines here.
     """
+    if flavor == "P" and theta % 2 == 0:
+        if theta != 2:
+            raise ValueError("character route covers flavor P only at odd theta and theta=2")
+        return math.exp(L2 * (n - 1) / 2) * z_decomposed(n, theta, L1 - L2, 0.0, h, direction, mode)
     if direction is None:
         direction = FieldDirection.default(theta)
     total = 0.0
@@ -248,34 +381,10 @@ def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,
     character-weighted line sum; the two must agree to tol."""
     if theta not in (2, 3):
         raise ValueError("total spin observable implemented for theta in {2,3}")
-    _check_cap(theta, n)
-    w = default_w(theta)
-    direction = field_direction_of(w, theta)
-
-    sum_t, sum_b = sum_pair_ops(theta, n, flavor)
-    h0 = -(L1 * sum_t + L2 * sum_b)
-    evals, vecs = np.linalg.eigh(h0)
-    boltz = vecs @ np.diag(np.exp(-evals / n)) @ vecs.conj().T
-    g1 = scipy.linalg.expm((h / n) * w)
-    g = g1
-    for _ in range(n - 1):
-        g = np.kron(g, g1)
-    dense_num = float(np.real(np.sum(g * boltz.T)))
-    dense_den = float(np.sum(np.exp(-evals / n)))
-    dense = dense_num / dense_den
-
-    num = 0.0
-    den = 0.0
-    for pair, b in branching.enumerate_Pn(n, theta):
-        chi = char_o_field(pair.lam, theta, h / n, direction)
-        d_o = dim_o(pair.lam, theta)
-        weight = b * dim_sn(pair.rho) * math.exp(
-            -line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2) / n
-        )
-        num += chi * weight
-        den += d_o * weight
-    decomposed = num / den
-
+    dense = (z_direct(HamiltonianSpec(theta, n, L1, L2, h=h / n, flavor=flavor))
+             / z_direct(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
+    decomposed = (z_decomposed(n, theta, L1, L2, h / n, flavor=flavor)
+                  / z_decomposed(n, theta, L1, L2, flavor=flavor))
     if abs(dense - decomposed) > tol * max(1.0, abs(dense)):
         raise AssertionError(
             f"total-spin routes disagree: dense={dense!r}, lines={decomposed!r}"
@@ -310,20 +419,11 @@ def perfect_matchings(items: Sequence[int]) -> Iterator[List[Tuple[int, int]]]:
 
 
 def _pair_vector(theta: int, flavor: str) -> np.ndarray:
-    """sum_a |a,a> for flavor Q; the signed singlet sum_a (-1)^a |a,-a>
-    (spin labels a = S - i) for flavor P, theta odd."""
-    v = np.zeros(theta * theta)
-    if flavor == "Q":
-        for i in range(theta):
-            v[i * theta + i] = 1.0
-        return v
-    if theta % 2 == 0:
+    """sum_a |a,a> for flavor Q; the signed singlet sum_i (-1)^i |i,theta-1-i>
+    for flavor P, theta odd."""
+    if flavor == "P" and theta % 2 == 0:
         raise ValueError("signed singlet requires odd theta (integer spin labels)")
-    s = (theta - 1) // 2
-    for i in range(theta):
-        a = s - i
-        v[i * theta + (theta - 1 - i)] = (-1.0) ** a
-    return v
+    return pair_form(theta, flavor).ravel()
 
 
 def dimer_ground_state(n: int, theta: int, flavor: str = "Q") -> np.ndarray:

@@ -175,14 +175,14 @@ def test_three_cycle_class_scalar():
     # sum of squared contents minus C(n,2)
     import numpy as np
 
-    from orthospin.branching import _omega3, _three_cycle_sum
+    from orthospin.branching import _omega3, _three_cycle_blocks
     from orthospin.spectra import spectral_lines, sum_pair_ops
 
     theta, n = 2, 4
     L1, L2 = 1.3, 0.6
     sum_t, sum_b = sum_pair_ops(theta, n, "Q")
     evals, evecs = np.linalg.eigh(-(L1 * sum_t + L2 * sum_b))
-    c3 = _three_cycle_sum(theta, n)
+    (c3,) = _three_cycle_blocks(theta, n, keyed=False)
     for line in spectral_lines(n, theta, L1, L2):
         sel = np.abs(evals - line.eigenvalue) < 1e-8
         if int(np.sum(sel)) != line.multiplicity:

@@ -47,6 +47,44 @@ def test_usage_error_exit_code():
     assert res.exit_code == 2
 
 
+def test_zchar_flavor_p():
+    args = ("--theta", "2", "--n", "4", "--p1", "1", "--p2", "0.7", "--flavor", "P")
+    za = float(json.loads(run("zexact", *args).output)["Z"])
+    zb = float(json.loads(run("zchar", *args).output)["Z"])
+    assert abs(za - 58.0048) < 1e-4
+    assert abs(za - zb) / za < 1e-12
+    odd = ("--theta", "3", "--n", "4", "--p1", "1", "--p2", "0.7", "--h", "0.4")
+    zp = float(json.loads(run("zchar", *odd, "--flavor", "P").output)["Z"])
+    zq = float(json.loads(run("zchar", *odd).output)["Z"])
+    assert zp == zq
+    res = run("zchar", "--theta", "4", "--n", "3", "--p1", "1", "--p2", "0.7", "--flavor", "P")
+    assert res.exit_code == 2
+
+
+def test_zexact_rejects_bad_input():
+    # a field that does not preserve the signed-singlet form
+    res = run("zexact", "--theta", "5", "--n", "3", "--p1", "1", "--p2", "0.7",
+              "--flavor", "P", "--h", "0.5")
+    assert res.exit_code == 2
+    for cmd in ("zexact", "zchar"):
+        res = run(cmd, "--theta", "2", "--n", "3", "--p1", "nan", "--p2", "0.7")
+        assert res.exit_code == 2
+
+
+def test_value_errors_exit_2():
+    for args in (
+        ("zexact", "--theta", "2", "--n", "0", "--p1", "1", "--p2", "0.5"),
+        ("zexact", "--theta", "1", "--n", "3", "--p1", "1", "--p2", "0.5"),
+        ("zexact", "--theta", "2", "--n", "13", "--p1", "1", "--p2", "0.5"),
+        ("spectrum", "--theta", "2", "--n", "0", "--p1", "1", "--p2", "1"),
+        ("total-spin", "--theta", "4", "--n", "3", "--p1", "1", "--p2", "0.5"),
+        ("total-spin", "--theta", "2", "--n", "3", "--p1", "nan", "--p2", "0.5"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert "Traceback" not in res.output
+
+
 def test_spectrum_csv():
     res = run("spectrum", "--theta", "2", "--n", "3", "--p1", "1", "--p2", "1")
     lines = res.output.strip().splitlines()

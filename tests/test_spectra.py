@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from orthospin.brauer import embed_pair, pair_q_matrix, pair_t_matrix
+from orthospin.brauer import embed_pair, pair_p_matrix, pair_q_matrix, pair_t_matrix, perm_matrix
 from orthospin.partitions import EMPTY, Partition
 from orthospin.spectra import (
     HamiltonianSpec,
@@ -14,7 +16,9 @@ from orthospin.spectra import (
     ising_product_states,
     line_eigenvalue,
     perfect_matchings,
+    pair_form,
     spectral_lines,
+    sum_field_op,
     sum_pair_ops,
     total_spin_limit,
     total_spin_observable,
@@ -130,6 +134,26 @@ def test_flavor_spectra_differ_for_even_theta():
     hq = build_hamiltonian(HamiltonianSpec(2, 2, 0.9, 0.4, flavor="Q"))
     hp = build_hamiltonian(HamiltonianSpec(2, 2, 0.9, 0.4, flavor="P"))
     assert not np.allclose(np.linalg.eigvalsh(hq), np.linalg.eigvalsh(hp))
+
+
+def test_digit_assembly_matches_embedding_loops():
+    # the index-arithmetic assembler against per-pair / per-permutation loops
+    from orthospin.branching import _three_cycle_blocks
+
+    for theta, n in ((2, 5), (3, 4), (4, 3), (5, 3)):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for flavor, b2 in (("Q", pair_q_matrix(theta)), ("P", pair_p_matrix(theta))):
+            sum_t, sum_b = sum_pair_ops(theta, n, flavor)
+            t2 = pair_t_matrix(theta)
+            assert np.array_equal(sum_t, sum(embed_pair(t2, theta, n, x, y) for x, y in pairs))
+            assert np.array_equal(sum_b, sum(embed_pair(b2, theta, n, x, y) for x, y in pairs))
+        c3 = 0
+        for x, y, z in itertools.combinations(range(1, n + 1), 3):
+            for cyc in ((y, z, x), (z, x, y)):
+                sigma = list(range(1, n + 1))
+                sigma[x - 1], sigma[y - 1], sigma[z - 1] = cyc
+                c3 = c3 + perm_matrix(sigma, theta, n)
+        assert np.array_equal(_three_cycle_blocks(theta, n, keyed=False)[0], c3)
 
 
 def test_central_elements_on_eigenspaces():
@@ -258,3 +282,90 @@ def test_dense_cap_enforced(monkeypatch):
         z_direct(HamiltonianSpec(2, 4, 1.0, 1.0))
     monkeypatch.delenv("ORTHO_SPIN_DENSE_CAP")
     sum_pair_ops.cache_clear()
+
+
+def _spin_y(theta):
+    """S_y of spin (theta-1)/2 in the basis m = S, S-1, ..., -S."""
+    s = (theta - 1) / 2
+    w = np.zeros((theta, theta), dtype=complex)
+    for i in range(1, theta):
+        m = s - i  # <m+1| S_+ |m> sits at row i-1, column i
+        c = math.sqrt(s * (s + 1) - m * (m + 1)) / 2
+        w[i - 1, i] = -1j * c
+        w[i, i - 1] = 1j * c
+    return w
+
+
+def _preserves(w, theta, flavor):
+    j = pair_form(theta, flavor)
+    return np.allclose(w.T @ j + j @ w, 0.0, atol=1e-12)
+
+
+def test_sector_route_matches_full_matrix_exponentials():
+    # oracle of the oracle: the sector-block z_direct against
+    # tr[expm(-H0/n) expm(h sum_x W_x)] on the full standard-basis space
+    rng = np.random.default_rng(11)
+    checked = 0
+    for theta, ns in ((2, (2, 3, 4, 5)), (3, (2, 3, 4, 5)), (4, (2, 3, 4)), (5, (2, 3, 4))):
+        q, r = np.linalg.qr(rng.normal(size=(theta, theta)))
+        rot = q * np.sign(np.diag(r))
+        ws = [default_w(theta), 0.6 * default_w(theta), rot.T @ default_w(theta) @ rot]
+        if theta == 5:
+            ws.append(_spin_y(5))  # weights {2, 1}: two distinct torus weights
+        for n in ns:
+            for flavor in ("Q", "P"):
+                L1, L2 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
+                h0 = build_hamiltonian(HamiltonianSpec(theta, n, L1, L2, flavor=flavor))
+                boltz = scipy.linalg.expm(-h0 / n)
+                for w in ws:
+                    for h in (0.0, 0.7, -0.7):
+                        spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor,
+                                               field_matrix=w)
+                        if h != 0.0 and not _preserves(w, theta, flavor):
+                            with pytest.raises(ValueError):
+                                z_direct(spec)
+                            continue
+                        g = scipy.linalg.expm(h * sum_field_op(theta, n, w))
+                        ref = float(np.real(np.sum(boltz * g.T)))
+                        assert abs(z_direct(spec) - ref) / ref < 1e-12, (theta, n, flavor, h)
+                        checked += 1
+    assert checked > 200
+
+
+def test_spin_y_preserves_both_forms():
+    for theta in (2, 3, 4, 5):
+        w = _spin_y(theta)
+        assert _preserves(w, theta, "Q") and _preserves(w, theta, "P")
+    assert sorted(np.linalg.eigvalsh(_spin_y(5))) == pytest.approx([-2, -1, 0, 1, 2])
+    assert np.allclose(_spin_y(3), default_w(3))
+
+
+def test_field_must_preserve_pair_form():
+    # the theta=5 corner-block W preserves sum_a |a,a> but not the signed
+    # singlet, so sum_x W_x does not commute with the P Hamiltonian
+    spec = HamiltonianSpec(5, 3, 1.0, 0.7, h=0.5, flavor="P")
+    with pytest.raises(ValueError):
+        z_direct(spec)
+    assert z_direct(HamiltonianSpec(5, 3, 1.0, 0.7, flavor="P")) > 0
+    assert z_direct(HamiltonianSpec(4, 3, 1.0, 0.7, h=0.5, flavor="P")) > 0
+
+
+@pytest.mark.parametrize("field", ["L1", "L2", "h"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_couplings(field, value):
+    kwargs = {"L1": 1.0, "L2": 0.5, "h": 0.0, field: value}
+    with pytest.raises(ValueError):
+        HamiltonianSpec(2, 3, **kwargs)
+
+
+def test_z_decomposed_flavor_p():
+    # theta=2: P = 1 - T; odd theta: P is unitarily equivalent to Q
+    for n in (2, 3, 4, 6):
+        for h in (0.0, 0.7):
+            zc = z_decomposed(n, 2, 1.0, 0.7, h=h, flavor="P")
+            zd = z_direct(HamiltonianSpec(2, n, 1.0, 0.7, h=h, flavor="P"))
+            assert abs(zc - zd) / zd < 1e-12
+    assert z_decomposed(4, 2, 1.0, 0.7, flavor="P") == pytest.approx(58.0048, abs=1e-4)
+    assert z_decomposed(4, 3, 1.0, 0.7, h=0.3, flavor="P") == z_decomposed(4, 3, 1.0, 0.7, h=0.3)
+    with pytest.raises(ValueError):
+        z_decomposed(3, 4, 1.0, 0.7, flavor="P")
