@@ -64,7 +64,6 @@ from .free_energy import (
     beta_of_xstar,
     classify_phase,
     field_free_energy,
-    free_energy,
     maximize_phi,
     one_sided_derivatives,
     phi,

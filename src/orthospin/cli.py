@@ -19,7 +19,7 @@ from typing import List, Optional
 import click
 import numpy as np
 
-from . import appendix, branching, spectra
+from . import appendix, spectra
 from .free_energy import (
     NotProvenError,
     classify_phase,
@@ -28,9 +28,7 @@ from .free_energy import (
     one_sided_derivatives,
     trace_curve_C,
 )
-from .group_chars import dim_o
 from .partitions import format_partition
-from .tableaux import dim_sn
 
 SCHEMA = 1
 
@@ -142,20 +140,12 @@ def spectrum(theta, n, p1, p2, out):
 @click.option("--out", type=str, default=None)
 def branching_cmd(theta, n, oracle, p1, p2, out):
     """CSV of branching data: lambda, k, rho, b, d_O, d_Sn, eigenvalue."""
-    pairs = branching.enumerate_Pn(n, theta, oracle=oracle)
-    rows = []
-    for pair, b in pairs:
-        rows.append(
-            [
-                format_partition(pair.lam),
-                str(pair.k),
-                format_partition(pair.rho),
-                str(b),
-                str(dim_o(pair.lam, theta)),
-                str(dim_sn(pair.rho)),
-                f17(spectra.line_eigenvalue(pair.lam, pair.k, pair.rho, theta, p1, p2)),
-            ]
-        )
+    rows = [
+        [format_partition(pair.lam), str(pair.k), format_partition(pair.rho),
+         str(b), str(d_o), str(d_sn),
+         f17(spectra.line_eigenvalue(pair.lam, pair.k, pair.rho, theta, p1, p2))]
+        for pair, b, d_o, d_sn in spectra.line_table(n, theta, oracle).rows()
+    ]
     _write_csv(out, ["lambda", "k", "rho", "b", "d_O", "d_Sn", "eigenvalue"], rows)
 
 
@@ -331,9 +321,7 @@ def verify() -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--oracle", is_flag=True, default=False)
 def verify_schur_weyl(theta, n, oracle):
-    total = 0
-    for pair, b in branching.enumerate_Pn(n, theta, oracle=oracle):
-        total += dim_o(pair.lam, theta) * b * dim_sn(pair.rho)
+    total = sum(d_o * b * d_sn for _, b, d_o, d_sn in spectra.line_table(n, theta, oracle).rows())
     ok = total == theta**n
     _echo_json(
         {"command": "verify schur-weyl", "theta": theta, "n": n,

@@ -253,6 +253,8 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
     """
     if theta < 2:
         raise ValueError("theta >= 2 required")
+    if not all(math.isfinite(v) for v in (L1, L2, h)):
+        raise ValueError(f"couplings must be finite, got L1={L1!r}, L2={L2!r}, h={h!r}")
     if theta not in (2, 3) and L2 < 0.0:
         raise NotProvenError(
             f"free energy unknown for theta={theta}, L2={L2} < 0"

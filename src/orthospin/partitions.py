@@ -73,14 +73,20 @@ def parse_partition(text: str) -> Partition:
 
 
 def transpose(p: Partition) -> Partition:
-    """Column-length partition (conjugate diagram)."""
-    if not p.parts:
-        return EMPTY
-    cols = [0] * p.parts[0]
-    for row in p.parts:
-        for j in range(row):
-            cols[j] += 1
-    return Partition(cols)
+    """Column-length partition (conjugate diagram).
+
+    Built from run lengths: the columns past the end of row m+1 and up to
+    the end of row m (1-based) all have length m.  The conjugate of a
+    partition is a partition, so the result skips the constructor's checks.
+    """
+    parts = p.parts
+    cols: List[int] = []
+    for m in range(len(parts), 0, -1):
+        below = parts[m] if m < len(parts) else 0
+        cols += [m] * (parts[m - 1] - below)
+    out = object.__new__(Partition)
+    object.__setattr__(out, "parts", tuple(cols))
+    return out
 
 
 def content_sum(p: Partition) -> int:

@@ -30,24 +30,40 @@ breaks the form is rejected.  The blocks come from index arithmetic on the
 base-theta digits of the basis states, and the same assembler gives the
 standard-basis operators (one sector) used by build_hamiltonian and the
 ground-state checks.
+
+Character route
+---------------
+z_decomposed sums over the positive lines (lambda, k, rho) of
+enumerate_Pn.  What does not depend on the couplings sits in one cached
+LineTable per (n, theta, oracle): the pairs with their exact b and
+d_Sn = dim_sn(rho), an index into the distinct lambda with d_O = dim_o(lambda)
+computed once per lambda, and float arrays of log(b d_Sn), c(rho) and
+c(lambda) + k(1 - theta).  A call evaluates one log-character per distinct
+lambda (log d_O at h = 0) and takes a numpy log-sum-exp over the lines.
+spectral_lines and the command line's branching and schur-weyl output read
+b, d_O and d_Sn from the same table.  z_direct also sums its blocks in the
+log domain.  Both raise ValueError, stating log Z, when Z is not a positive
+finite double (exit 2 on the command line) rather than returning inf.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import branching
 from .group_chars import FieldDirection, char_o_field, dim_o
-from .partitions import Partition, content_sum
+from .partitions import LambdaRhoPair, Partition, content_sum
 from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def dense_cap() -> int:
@@ -317,16 +333,81 @@ def convert_parameters(mode: str, p1: float, p2: float,
 # ---------------------------------------------------------------------------
 # spectral lines and partition functions
 
+@dataclass(frozen=True)
+class LineTable:
+    """The coupling-independent data of the positive lines (lambda, k, rho).
+
+    Exact ints per line (b, d_Sn) and per distinct lambda (d_O), plus the
+    float arrays the line sum reads: log(b d_Sn), c(rho) and
+    c(lambda) + k(1 - theta) per line, and each line's index into lams.
+    """
+
+    pairs: Tuple[LambdaRhoPair, ...]
+    b: Tuple[int, ...]
+    d_sn: Tuple[int, ...]
+    lams: Tuple[Partition, ...]
+    d_o: Tuple[int, ...]
+    lam_index: np.ndarray
+    log_weight: np.ndarray
+    c_rho: np.ndarray
+    c_lam: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.lam_index, self.log_weight, self.c_rho, self.c_lam):
+            a.setflags(write=False)  # the table is cached and shared
+
+    def rows(self) -> Iterator[Tuple[LambdaRhoPair, int, int, int]]:
+        """(pair, b, d_O, d_Sn) per line, in enumeration order."""
+        d_o = [self.d_o[i] for i in self.lam_index.tolist()]
+        return zip(self.pairs, self.b, d_o, self.d_sn)
+
+
+@lru_cache(maxsize=32)
+def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
+    """The line table of enumerate_Pn(n, theta, oracle); d_O and d_Sn are
+    computed once per distinct lambda and rho."""
+    pn = branching.enumerate_Pn(n, theta, oracle=oracle)
+    lam_of: Dict[Partition, int] = {}
+    d_sn_of: Dict[Partition, int] = {}
+    for pair, _ in pn:
+        lam_of.setdefault(pair.lam, len(lam_of))
+        if pair.rho not in d_sn_of:
+            d_sn_of[pair.rho] = dim_sn(pair.rho)
+    pairs = tuple(pair for pair, _ in pn)
+    b = tuple(b for _, b in pn)
+    d_sn = tuple(d_sn_of[p.rho] for p in pairs)
+    return LineTable(
+        pairs, b, d_sn, tuple(lam_of), tuple(dim_o(lam, theta) for lam in lam_of),
+        lam_index=np.array([lam_of[p.lam] for p in pairs], dtype=np.intp),
+        log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
+        c_rho=np.array([content_sum(p.rho) for p in pairs], dtype=float),
+        c_lam=np.array([content_sum(p.lam) + p.k * (1 - theta) for p in pairs], dtype=float),
+    )
+
+
 def spectral_lines(n: int, theta: int, L1: float, L2: float,
                    mode: str = "exact") -> List[SpectralLine]:
     """One line per (lambda, k, rho) with positive branching coefficient."""
-    pn = branching.enumerate_Pn(n, theta, oracle=(mode == "oracle"))
-    lines = []
-    for pair, b in pn:
-        mult = dim_o(pair.lam, theta) * b * dim_sn(pair.rho)
-        e = line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2)
-        lines.append(SpectralLine(pair.lam, pair.k, pair.rho, e, mult))
-    return lines
+    return [
+        SpectralLine(pair.lam, pair.k, pair.rho,
+                     line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2),
+                     d_o * b * d_sn)
+        for pair, b, d_o, d_sn in line_table(n, theta, mode == "oracle").rows()
+    ]
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) with the largest term factored out."""
+    top = float(np.max(a))
+    return top + math.log(float(np.sum(np.exp(a - top))))
+
+
+def _z_from_log(log_z: float) -> float:
+    """exp(log Z); ValueError when Z is not a positive finite double."""
+    z = math.exp(log_z) if log_z <= _LOG_DOUBLE_MAX else math.inf
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"Z is outside the double range: log Z = {log_z!r}")
+    return z
 
 
 def z_direct(spec: HamiltonianSpec) -> float:
@@ -340,11 +421,11 @@ def z_direct(spec: HamiltonianSpec) -> float:
     _check_cap(spec.theta, spec.n)
     charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
     fields = spec.h * (charges @ field_weights(spec)) if spec.h else np.zeros(len(charges))
-    total = 0.0
-    for m, t, b in zip(fields, blocks_t, blocks_b):
-        eig = np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n)
-        total += math.exp(m) * float(np.sum(np.exp(eig)))
-    return total
+    log_blocks = [
+        m + _logsumexp(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
+        for m, t, b in zip(fields, blocks_t, blocks_b)
+    ]
+    return _z_from_log(_logsumexp(np.array(log_blocks)))
 
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
@@ -353,26 +434,35 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     """Character-sum partition function over the positive branching lines.
 
     Each line contributes chi_lam(exp(hW)) * b * dim_sn(rho) * exp(-E/n),
-    with the character replaced by the plain dimension at h = 0.  The lines
-    are those of flavor Q, which is unitarily equivalent to P at odd theta;
-    at theta = 2, P = 1 - T gives Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0),
-    and P at even theta >= 4 has no lines here.
+    with the character replaced by the plain dimension at h = 0; the sum
+    runs in the log domain over line_table(n, theta), with one character
+    per distinct lambda.  The lines are those of flavor Q, which is
+    unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
+    Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
+    has no lines here.  Raises ValueError when Z or a character is not a
+    positive finite double.
     """
+    log_shift = 0.0
     if flavor == "P" and theta % 2 == 0:
         if theta != 2:
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
-        return math.exp(L2 * (n - 1) / 2) * z_decomposed(n, theta, L1 - L2, 0.0, h, direction, mode)
-    if direction is None:
-        direction = FieldDirection.default(theta)
-    total = 0.0
-    for pair, b in branching.enumerate_Pn(n, theta, oracle=(mode == "oracle")):
-        if h == 0.0:
-            chi = float(dim_o(pair.lam, theta))
-        else:
-            chi = char_o_field(pair.lam, theta, h, direction)
-        e = line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2)
-        total += chi * b * dim_sn(pair.rho) * math.exp(-e / n)
-    return total
+        log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
+    table = line_table(n, theta, mode == "oracle")
+    if h == 0.0:
+        log_chi = np.log(np.array(table.d_o, dtype=float))
+    else:
+        if direction is None:
+            direction = FieldDirection.default(theta)
+        try:
+            chi = np.array([char_o_field(lam, theta, h, direction) for lam in table.lams])
+        except OverflowError:
+            chi = np.array([math.inf])
+        if not np.all((chi > 0.0) & (chi < math.inf)):
+            raise ValueError(f"a character at h={h!r} is not a positive finite double")
+        log_chi = np.log(chi)
+    exponents = (log_chi[table.lam_index] + table.log_weight
+                 + ((L1 + L2) * table.c_rho - L2 * table.c_lam) / n)
+    return _z_from_log(log_shift + _logsumexp(exponents))
 
 
 def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,

@@ -85,6 +85,27 @@ def test_value_errors_exit_2():
         assert "Traceback" not in res.output
 
 
+def test_overflow_exits_2():
+    # Z past the double range: exit 2 with log Z, no traceback, no Infinity
+    for args in (
+        ("zchar", "--theta", "2", "--n", "60", "--p1", "60", "--p2", "0"),
+        ("zexact", "--theta", "2", "--n", "4", "--p1", "2000", "--p2", "0.5"),
+        ("zchar", "--theta", "2", "--n", "100", "--p1", "0", "--p2", "0", "--h", "8"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert "Traceback" not in res.output and "Infinity" not in res.output
+    res = run("zchar", "--theta", "2", "--n", "60", "--p1", "60", "--p2", "0")
+    assert "log Z = 1774.11" in res.output
+
+
+def test_free_energy_rejects_non_finite():
+    for p1 in ("inf", "nan"):
+        res = run("free-energy", "--theta", "2", "--p1", p1, "--p2", "0")
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
+
 def test_spectrum_csv():
     res = run("spectrum", "--theta", "2", "--n", "3", "--p1", "1", "--p2", "1")
     lines = res.output.strip().splitlines()

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -313,3 +314,18 @@ def test_exit_directions_absorbing():
         pt = (start[0] + 0.1 * v[0], start[1] + 0.1 * v[1])
         if pt[0] >= pt[1]:
             assert not in_disordered_region(*pt), (v, pt)
+
+
+def test_maximize_phi_rejects_non_finite_couplings():
+    for args in ((math.inf, 0.0), (0.0, math.nan), (1.0, 0.5, -math.inf)):
+        with pytest.raises(ValueError):
+            maximize_phi(2, *args)
+
+
+def test_submodule_not_shadowed():
+    import orthospin
+    import orthospin.free_energy as fe
+
+    assert isinstance(fe, types.ModuleType)
+    assert orthospin.free_energy is fe
+    assert fe.free_energy is free_energy

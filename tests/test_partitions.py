@@ -89,9 +89,27 @@ def test_transpose_examples():
     assert transpose(Partition([4, 1, 1])).parts == (3, 1, 1, 1)
 
 
-@given(partitions_st)
+def _transpose_by_boxes(p):
+    """Column lengths counted box by box (the reference for transpose)."""
+    cols = [0] * p[0]
+    for row in p.parts:
+        for j in range(row):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def test_transpose_matches_box_count():
+    for n in range(15):
+        for p in enumerate_partitions(n, n):
+            assert transpose(p).parts == _transpose_by_boxes(p).parts
+
+
+@given(st.lists(st.integers(0, 40), max_size=12).map(lambda l: Partition(sorted(l, reverse=True))))
 def test_transpose_involution(p):
-    assert transpose(transpose(p)) == p
+    t = transpose(p)
+    assert Partition(t.parts) == t  # a valid partition, though built unchecked
+    assert t.size == p.size
+    assert transpose(t) == p
 
 
 @given(partitions_st)

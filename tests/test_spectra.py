@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from orthospin import branching
 from orthospin.brauer import embed_pair, pair_p_matrix, pair_q_matrix, pair_t_matrix, perm_matrix
+from orthospin.group_chars import FieldDirection, char_o_field, dim_o
 from orthospin.partitions import EMPTY, Partition
 from orthospin.spectra import (
     HamiltonianSpec,
     build_hamiltonian,
+    line_table,
     convert_parameters,
     default_w,
     dimer_ground_state,
@@ -25,6 +29,7 @@ from orthospin.spectra import (
     z_decomposed,
     z_direct,
 )
+from orthospin.tableaux import dim_sn
 
 
 def test_convert_parameters():
@@ -369,3 +374,61 @@ def test_z_decomposed_flavor_p():
     assert z_decomposed(4, 3, 1.0, 0.7, h=0.3, flavor="P") == z_decomposed(4, 3, 1.0, 0.7, h=0.3)
     with pytest.raises(ValueError):
         z_decomposed(3, 4, 1.0, 0.7, flavor="P")
+
+
+def _z_by_lines(n, theta, L1, L2, h=0.0, mode="exact"):
+    """Z as a plain float sum over the lines, one term at a time: the
+    reference for the table's log-domain sum."""
+    direction = FieldDirection.default(theta)
+    total = 0.0
+    for pair, b in branching.enumerate_Pn(n, theta, oracle=(mode == "oracle")):
+        if h == 0.0:
+            chi = float(dim_o(pair.lam, theta))
+        else:
+            chi = char_o_field(pair.lam, theta, h, direction)
+        e = line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2)
+        total += chi * b * dim_sn(pair.rho) * math.exp(-e / n)
+    return total
+
+
+sizes_st = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 60)), st.tuples(st.just(3), st.integers(1, 20))
+)
+couplings_st = st.floats(-2.0, 2.0)
+fields_st = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes_st, couplings_st, couplings_st, fields_st)
+def test_table_sum_matches_line_loop(size, L1, L2, h):
+    theta, n = size
+    ref = _z_by_lines(n, theta, L1, L2, h)
+    assert z_decomposed(n, theta, L1, L2, h=h) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theta,n", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
+def test_oracle_table_sum_matches_line_loop(theta, n):
+    for L1, L2, h in ((1.0, 0.5, 0.0), (-1.3, 1.7, 0.4)):
+        ref = _z_by_lines(n, theta, L1, L2, h, mode="oracle")
+        got = z_decomposed(n, theta, L1, L2, h=h, mode="oracle")
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes_st, couplings_st, couplings_st, st.floats(0.01, 1.5))
+def test_character_sum_invariants(size, L1, L2, h):
+    theta, n = size
+    assert z_decomposed(n, theta, 0.0, 0.0) == pytest.approx(theta**n, rel=1e-12, abs=0.0)
+    assert z_decomposed(n, theta, L1, L2, h=h) == pytest.approx(
+        z_decomposed(n, theta, L1, L2, h=-h), rel=1e-12, abs=0.0)
+    table = line_table(n, theta)
+    assert sum(d_o * b * d_sn for _, b, d_o, d_sn in table.rows()) == theta**n
+
+
+def test_partition_functions_reject_overflow():
+    with pytest.raises(ValueError, match="log Z"):
+        z_decomposed(60, 2, 60.0, 0.0)
+    with pytest.raises(ValueError, match="log Z"):
+        z_decomposed(60, 2, -200.0, 0.0)
+    with pytest.raises(ValueError, match="log Z"):
+        z_direct(HamiltonianSpec(2, 4, 2000.0, 0.5))
