@@ -159,9 +159,10 @@ def b_coefficient(pair: LambdaRhoPair, theta: int, use_oracle: bool = True,
     (always applicable).  theta>=4: one-column rule and the cell identity
     where they apply, otherwise the dense spectral oracle for small n.
     """
-    _validate_pair(pair, theta)
     if theta == 2:
+        # the predicate validates the pair
         return 1 if is_positive_closed_form(pair, theta) else 0
+    _validate_pair(pair, theta)
     value = _b_by_reduction(pair, theta)
     if value is not None:
         return value

@@ -9,8 +9,15 @@ maximised over the ordered simplex in x with 0 <= y_1 <= x_1 - x_theta and
 all other y_i = 0 (theta = 2, 3; for L2 >= 0 the y term never helps, which
 extends the formula to every theta).  The inner y maximisation is solved in
 closed form; the x problem runs a dense grid scan over the ordered simplex
-followed by Newton refinement on groups of equal coordinates, which reaches
-machine-precision stationarity and keeps repeated runs bit-identical.
+(its lattice points are the partitions of 1/step into at most theta parts)
+followed by Newton refinement on groups of equal coordinates.  The Newton
+uses the analytic Hessian of the block-reduced objective, diagonal plus the
+curvature of the y term, reaches machine-precision stationarity and keeps
+repeated runs bit-identical.
+
+The spin-1 boundary curve C runs on the same functional, grid and Newton:
+on the theta=3 ordered simplex with y_1 = x_1 - x_3 the wedge functional is
+phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .partitions import partition_tuples
 from .spectra import convert_parameters
 
 LOG16 = math.log(16.0)
@@ -100,24 +108,21 @@ def _y_bonus(L2: float, habs: float, Y: float) -> Tuple[float, float]:
 
 @lru_cache(maxsize=16)
 def _sorted_simplex_grid(theta: int, step: float) -> np.ndarray:
-    """Lattice points of the ordered simplex x_1 >= ... >= x_theta >= 0."""
+    """Lattice points of the ordered simplex x_1 >= ... >= x_theta >= 0:
+    the partitions of m = 1/step into at most theta parts, zero-padded, over m."""
     m = int(round(1.0 / step))
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, max_part: int, slots: int, prefix: Tuple[int, ...]):
-        if slots == 1:
-            if remaining <= max_part:
-                out.append(prefix + (remaining,))
-            return
-        lo = (remaining + slots - 1) // slots
-        for v in range(min(remaining, max_part), lo - 1, -1):
-            rec(remaining - v, v, slots - 1, prefix + (v,))
-
-    rec(m, m, theta, ())
-    return np.array(out, dtype=float) / m
+    pad = (0,) * theta
+    rows = [(parts + pad)[:theta] for parts in partition_tuples(m, theta)]
+    return np.array(rows, dtype=float) / m
 
 
 _GRID_STEP = {2: 1e-3, 3: 1e-3, 4: 0.01, 5: 0.02, 6: 0.025}
+# grid step of the curve-C predicate (theta = 3)
+_CURVE_C_STEP = 0.004
+# Newton stalls short of a maximiser where the Hessian is singular (at the
+# symmetric point on J2 = 2 J1 - 3 it stops ~2e-5 away), so refined limits
+# closer than this in max-norm count as one maximiser
+_MERGE_DIST = 1e-3
 
 
 def _objective_factory(theta: int, L1: float, L2: float, habs: float) -> Callable:
@@ -149,107 +154,108 @@ def _group_pattern(x: Sequence[float], tol: float = 1e-6) -> List[int]:
     return sizes
 
 
-def _grouped_newton(theta: int, L1: float, L2: float, habs: float,
+def _interior(x: Sequence[float]) -> Tuple[float, ...]:
+    """x moved off the simplex boundary (coordinates >= 1e-9, renormalised)."""
+    x = tuple(max(float(v), 1e-9) for v in x)
+    tot = sum(x)
+    return tuple(v / tot for v in x)
+
+
+def _block_value(sizes: Sequence[int], L1: float, L2: float, habs: float,
+                 g: Sequence[float]) -> float:
+    """The objective at block values g (block j holds sizes[j] equal coordinates)."""
+    beta = L1 + L2
+    bonus, _ = _y_bonus(L2, habs, g[0] - g[-1])
+    return sum(n * (0.5 * beta * v * v - v * math.log(v)) for n, v in zip(sizes, g)) + bonus
+
+
+def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float,
+                       g: Sequence[float]) -> Tuple[List[float], List[List[float]]]:
+    """Gradient and Hessian of the objective in the free block values g_0..g_{L-2}.
+
+    The last block value follows from sum_j s_j g_j = 1 (s_j = sizes[j]).
+    The Hessian is diag(s_j (beta - 1/g_j)) reduced through that constraint,
+    plus the curvature -L2 of the y term along Y = g_0 - g_last while y_1
+    sits at its bound Y.
+    """
+    beta = L1 + L2
+    m = len(sizes) - 1
+    a = [-n / sizes[-1] for n in sizes[:-1]]  # d g_last / d g_j
+    w = [(j == 0) - a_j for j, a_j in enumerate(a)]  # dY / d g_j
+    Y = g[0] - g[-1]
+    _, y = _y_bonus(L2, habs, Y)
+    at_bound = y >= Y if L2 > 0.0 else (habs > 0.0 or L2 < 0.0)
+    dbdY, c = (habs - L2 * Y, -L2) if at_bound else (0.0, 0.0)
+    d1 = [n * (beta * v - math.log(v) - 1.0) for n, v in zip(sizes, g)]
+    d2 = [n * (beta - 1.0 / v) for n, v in zip(sizes, g)]
+    grad = [d1[j] + a[j] * d1[-1] + dbdY * w[j] for j in range(m)]
+    hess = [[d2[j] * (j == k) + d2[-1] * a[j] * a[k] + c * w[j] * w[k] for k in range(m)]
+            for j in range(m)]
+    return grad, hess
+
+
+def _grouped_newton(L1: float, L2: float, habs: float,
                     x0: Sequence[float]) -> Optional[Tuple[float, Tuple[float, ...]]]:
-    """Newton ascent treating blocks of equal coordinates as single variables.
+    """Newton ascent treating blocks of equal coordinates as single variables,
+    with the analytic derivatives of _block_derivatives.  The blocks are few,
+    so the arithmetic runs on Python floats.
 
     Returns (value, x) at a stationary point of the block-reduced objective,
     or None if the iteration leaves the feasible cone.
     """
     sizes = _group_pattern(x0)
-    L = len(sizes)
-    beta = L1 + L2
-    # representative for each block
-    g = []
+
+    def blocks(free: List[float]) -> Optional[List[float]]:
+        g = free + [(1.0 - sum(n * v for n, v in zip(sizes, free))) / sizes[-1]]
+        return g if min(g) > 0.0 else None
+
     pos = 0
-    for s in sizes:
-        g.append(sum(x0[pos : pos + s]) / s)
-        pos += s
-
-    def unpack(free: np.ndarray) -> np.ndarray:
-        last = (1.0 - sum(f * s for f, s in zip(free, sizes[:-1]))) / sizes[-1]
-        return np.array(list(free) + [last])
-
-    def value_and_grad(free: np.ndarray):
-        gv = unpack(free)
-        if np.any(gv <= 0.0):
-            return None
-        xs = np.repeat(gv, sizes)
-        val = 0.5 * beta * np.sum(xs * xs) - np.sum(xs * np.log(xs))
-        Y = xs[0] - xs[-1]
-        bonus, y = _y_bonus(L2, habs, Y)
-        val += bonus
-        # d(bonus)/dY: 0 when the inner optimum is interior (L2>0, y<Y)
-        if L2 > 0.0:
-            dbdY = 0.0 if y < Y else (habs - L2 * Y)
-        else:
-            dbdY = habs - L2 * Y if (habs > 0.0 or L2 < 0.0) else 0.0
-        dphi = [sizes[j] * (beta * gv[j] - math.log(gv[j]) - 1.0) for j in range(L)]
-        dphi[0] += dbdY
-        dphi[-1] -= dbdY
-        grad = np.array(
-            [dphi[j] - (sizes[j] / sizes[-1]) * dphi[-1] for j in range(L - 1)]
-        )
-        return val, grad, gv
-
-    if L == 1:
-        res = value_and_grad(np.array([]))
-        return (res[0], tuple(np.repeat(res[2], sizes))) if res else None
-
-    free = np.array(g[:-1])
+    free = []
+    for n in sizes[:-1]:
+        free.append(sum(x0[pos:pos + n]) / n)
+        pos += n
     for _ in range(80):
-        res = value_and_grad(free)
-        if res is None:
+        g = blocks(free)
+        if g is None:
             return None
-        val, grad, gv = res
-        if np.max(np.abs(grad)) < 1e-11:
+        val = _block_value(sizes, L1, L2, habs, g)
+        grad, hess = _block_derivatives(sizes, L1, L2, habs, g)
+        if not grad or max(map(abs, grad)) < 1e-11:
             break
-        # finite-difference Hessian of the analytic gradient
-        eps = 1e-7
-        hess = np.zeros((L - 1, L - 1))
-        for j in range(L - 1):
-            probe = free.copy()
-            probe[j] += eps
-            rp = value_and_grad(probe)
-            probe[j] -= 2 * eps
-            rm = value_and_grad(probe)
-            if rp is None or rm is None:
-                return None
-            hess[:, j] = (rp[1] - rm[1]) / (2 * eps)
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(hess, grad).tolist()
         except np.linalg.LinAlgError:
             return None
         scale = 1.0
         for _ in range(30):
-            cand = free - scale * step
-            rc = value_and_grad(cand)
-            if rc is not None and rc[0] >= val - 1e-15:
+            cand = [f - scale * d for f, d in zip(free, step)]
+            gc = blocks(cand)
+            if gc is not None and _block_value(sizes, L1, L2, habs, gc) >= val - 1e-15:
                 free = cand
                 break
             scale *= 0.5
         else:
             break
-    res = value_and_grad(free)
-    if res is None:
+    g = blocks(free)
+    if g is None:
         return None
-    val, grad, gv = res
-    if grad.size and np.max(np.abs(grad)) > 1e-9:
+    grad, _ = _block_derivatives(sizes, L1, L2, habs, g)
+    if grad and max(map(abs, grad)) > 1e-9:
         return None
-    xs = np.repeat(gv, sizes)
-    if np.any(np.diff(xs) > 1e-12):
+    xs = tuple(v for n, v in zip(sizes, g) for _ in range(n))
+    if any(b - a > 1e-12 for a, b in zip(xs, xs[1:])):
         return None
-    return float(val), tuple(float(v) for v in xs)
+    return _block_value(sizes, L1, L2, habs, g), xs
 
 
 def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
-                 tie_tol: float = 1e-8,
-                 grid_step: Optional[float] = None) -> MaximizeResult:
+                 tie_tol: float = 1e-8) -> MaximizeResult:
     """Global maximum of phi (+ |h| y_1 when h != 0) over the ordered simplex.
 
     The full (L1, L2) plane is available for theta in {2, 3}; for larger
     theta only L2 >= 0 is covered and L2 < 0 raises NotProvenError.  All
-    maximisers within tie_tol of the best value are returned.
+    maximisers within tie_tol of the best value are returned, one for each
+    group of refined limits within _MERGE_DIST of one another.
     """
     if theta < 2:
         raise ValueError("theta >= 2 required")
@@ -260,8 +266,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
             f"free energy unknown for theta={theta}, L2={L2} < 0"
         )
     habs = abs(h)
-    step = grid_step if grid_step is not None else _GRID_STEP.get(theta, 0.05)
-    grid = _sorted_simplex_grid(theta, step)
+    grid = _sorted_simplex_grid(theta, _GRID_STEP.get(theta, 0.05))
     f_vec = _objective_factory(theta, L1, L2, habs)
     vals = f_vec(grid)
     best = float(np.max(vals))
@@ -290,19 +295,17 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
     refined: List[Tuple[float, Tuple[float, ...]]] = []
     seen = set()
     for x0 in starts:
-        x0 = tuple(max(v, 1e-9) for v in x0)
-        tot = sum(x0)
-        x0 = tuple(v / tot for v in x0)
+        x0 = _interior(x0)
         key = tuple(round(v, 5) for v in x0)
         if key in seen:
             continue
         seen.add(key)
-        res = _grouped_newton(theta, L1, L2, habs, x0)
+        res = _grouped_newton(L1, L2, habs, x0)
         if res is not None:
             refined.append(res)
         # also try merging near-equal coordinates more aggressively
         res2 = _grouped_newton(
-            theta, L1, L2, habs, tuple(round(v, 2) + 1e-9 for v in x0)
+            L1, L2, habs, tuple(round(v, 2) + 1e-9 for v in x0)
         ) if theta > 2 else None
         if res2 is not None:
             refined.append(res2)
@@ -310,22 +313,20 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
         # fall back to the best grid point (should not happen in practice)
         i = int(np.argmax(vals))
         refined = [(best, tuple(float(v) for v in grid[i]))]
-    top = max(v for v, _ in refined)
-    top = max(top, best)
+    top = max(max(v for v, _ in refined), best)
+    ties = [(v, xs) for v, xs in refined if v >= top - tie_tol]
+    # one limit per _MERGE_DIST neighbourhood: the fewest distinct coordinates
+    # (a Newton limit on k blocks has exactly k), then the highest value
+    kept: List[Tuple[float, Tuple[float, ...]]] = []
+    for val, xs in sorted(ties, key=lambda t: (len(set(t[1])), -t[0])):
+        if all(max(abs(a - b) for a, b in zip(xs, q)) > _MERGE_DIST for _, q in kept):
+            kept.append((val, xs))
     points: List[SimplexPoint] = []
     y1_interval = None
-    for val, xs in sorted(refined, key=lambda t: -t[0]):
-        if val < top - tie_tol:
-            continue
-        Y = xs[0] - xs[-1]
-        bonus, y = _y_bonus(L2, habs, Y)
-        if theta in (2, 3):
-            ys = (y,) + (0.0,) * (theta - 1)
-        else:
-            ys = (0.0,) * theta
-        pt = SimplexPoint(tuple(xs), ys)
-        if all(max(abs(a - b) for a, b in zip(pt.x, q.x)) > 1e-7 for q in points):
-            points.append(pt)
+    for _, xs in sorted(kept, key=lambda t: -t[0]):
+        _, y = _y_bonus(L2, habs, xs[0] - xs[-1])
+        ys = (y,) + (0.0,) * (theta - 1) if theta in (2, 3) else (0.0,) * theta
+        points.append(SimplexPoint(xs, ys))
     if L2 == 0.0 and habs == 0.0 and theta in (2, 3):
         ymax = max(p.x[0] - p.x[-1] for p in points)
         y1_interval = (0.0, ymax)
@@ -469,109 +470,30 @@ def quadratic_alpha(J1: float, J2: float) -> float:
 # ---------------------------------------------------------------------------
 # the spin-1 boundary curve
 
-def _phi_region_r_arrays(grid_step: float = 0.004):
-    """Precompute the (J-independent) pieces of phi over the region
-    x1 >= x2, 1 - x2 >= x1 >= 1 - 2 x2 (non-negative third coordinate,
-    second coordinate at least the third)."""
-    pts = []
-    m = int(round(1.0 / grid_step))
-    for i in range(m + 1):
-        x1 = i / m
-        for j in range(m + 1):
-            x2 = j / m
-            x3 = 1.0 - x1 - x2
-            if x1 >= x2 - 1e-12 and x2 >= x3 - 1e-12 and x3 >= -1e-12:
-                pts.append((x1, x2, max(x3, 0.0)))
-    arr = np.array(pts)
-    x1, x2, x3 = arr[:, 0], arr[:, 1], arr[:, 2]
-    a = -2 * x1**2 + x2**2 - 2 * x1 * x2 + 2 * x1
-    b = (2 * x1 + x2 - 1.0) ** 2
-
-    def ent(v):
-        return np.where(v > 0, -v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-
-    s = ent(x1) + ent(x2) + ent(x3)
-    return arr, a, b, s
-
-
-_REGION_CACHE: dict = {}
-
-
-def _phi_r_max(J1: float, J2: float) -> Tuple[float, Tuple[float, float]]:
-    """Global max of phi over the region R, Newton-refined."""
-    if "grid" not in _REGION_CACHE:
-        _REGION_CACHE["grid"] = _phi_region_r_arrays()
-    arr, a, b, s = _REGION_CACHE["grid"]
-    vals = 0.5 * (J2 * a + J1 * b) + s
-    order = np.argsort(vals)[::-1][:12]
-
-    def f_and_grad(x1: float, x2: float):
-        x3 = 1.0 - x1 - x2
-        if x1 <= 0 or x2 <= 0 or x3 <= 0:
-            return None
-        val = 0.5 * (
-            J2 * (-2 * x1**2 + x2**2 - 2 * x1 * x2 + 2 * x1)
-            + J1 * (2 * x1 + x2 - 1.0) ** 2
-        ) - x1 * math.log(x1) - x2 * math.log(x2) - x3 * math.log(x3)
-        g1 = (2 * J1 - J2) * (2 * x1 + x2 - 1.0) - math.log(x1) + math.log(x3)
-        g2 = J1 * (2 * x1 + x2 - 1.0) + J2 * (x2 - x1) - math.log(x2) + math.log(x3)
-        h11 = 2 * (2 * J1 - J2) - 1.0 / x1 - 1.0 / x3
-        h12 = (2 * J1 - J2) - 1.0 / x3
-        h22 = J1 + J2 - 1.0 / x2 - 1.0 / x3
-        return val, np.array([g1, g2]), np.array([[h11, h12], [h12, h22]])
-
-    best_val = float(np.max(vals))
-    best_pt = (float(arr[order[0], 0]), float(arr[order[0], 1]))
-    for idx in order:
-        x = np.array([arr[idx, 0], arr[idx, 1]])
-        x = np.clip(x, 1e-6, None)
-        for _ in range(60):
-            res = f_and_grad(x[0], x[1])
-            if res is None:
-                break
-            val, grad, hess = res
-            if np.max(np.abs(grad)) < 1e-12:
-                break
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            moved = False
-            for _ in range(30):
-                cand = x - scale * step
-                rc = f_and_grad(cand[0], cand[1])
-                if rc is not None and rc[0] >= val - 1e-15:
-                    x = cand
-                    moved = True
-                    break
-                scale *= 0.5
-            if not moved:
-                break
-        res = f_and_grad(x[0], x[1])
-        if res is None:
-            continue
-        val = res[0]
-        # keep only points inside (or on) the region
-        x1, x2 = float(x[0]), float(x[1])
-        x3 = 1.0 - x1 - x2
-        if x1 >= x2 - 1e-9 and x2 >= x3 - 1e-9 and x3 >= -1e-12:
-            if val > best_val:
-                best_val, best_pt = val, (x1, x2)
-    return best_val, best_pt
-
-
-def _phi_r_sym(J1: float, J2: float) -> float:
-    x = 1.0 / 3.0
-    return 0.5 * (J2 * (-2 * x * x + x * x - 2 * x * x + 2 * x) + J1 * 0.0) + 3 * (
-        -x * math.log(x)
-    )
-
-
 def in_disordered_region(J1: float, J2: float, tol: float = 1e-9) -> bool:
-    """Is the symmetric point the global maximiser of phi over R at (J1, J2)?"""
-    max_val, _ = _phi_r_max(J1, J2)
-    return max_val <= _phi_r_sym(J1, J2) + tol
+    """Is the symmetric point the global maximiser of phi over R at (J1, J2)?
+
+    R is the theta=3 ordered simplex with y_1 = x_1 - x_3.  In the wedge
+    J1 >= J2 the inner y maximisation of phi(3, L1=J1, L2=J2-J1) puts y_1
+    there, so the predicate scans that phi on the grid of step
+    _CURVE_C_STEP and refines the 12 best grid points with the Newton of
+    maximize_phi.  It answers False as soon as a grid or refined value
+    exceeds the symmetric value by more than tol.
+    """
+    if J2 > J1:
+        raise ValueError(f"the wedge J1 >= J2 is required, got J1={J1!r}, J2={J2!r}")
+    L1, L2 = J1, J2 - J1
+    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + tol
+    grid = _sorted_simplex_grid(3, _CURVE_C_STEP)
+    vals = _objective_factory(3, L1, L2, 0.0)(grid)
+    order = np.argsort(vals)[::-1][:12]
+    if vals[order[0]] > bar:
+        return False
+    for i in order:
+        res = _grouped_newton(L1, L2, 0.0, _interior(grid[i]))
+        if res is not None and res[0] > bar:
+            return False
+    return True
 
 
 def trace_curve_C(resolution: int = 40,

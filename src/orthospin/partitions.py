@@ -84,8 +84,13 @@ def transpose(p: Partition) -> Partition:
     for m in range(len(parts), 0, -1):
         below = parts[m] if m < len(parts) else 0
         cols += [m] * (parts[m - 1] - below)
+    return _trusted(tuple(cols))
+
+
+def _trusted(parts: Tuple[int, ...]) -> Partition:
+    """A Partition from parts known to be valid, skipping the checks."""
     out = object.__new__(Partition)
-    object.__setattr__(out, "parts", tuple(cols))
+    object.__setattr__(out, "parts", parts)
     return out
 
 
@@ -119,23 +124,31 @@ def column_flip(p: Partition, theta: int) -> Partition:
     return transpose(Partition(new_cols))
 
 
-def enumerate_partitions(n: int, max_parts: int) -> List[Partition]:
-    """All partitions of n with at most max_parts parts, reverse lexicographic."""
+def partition_tuples(n: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
+    """Parts of every partition of n with at most max_parts parts, reverse
+    lexicographic.
+
+    A part below ceil(remaining / slots) would leave more than the later,
+    smaller parts can hold, so the recursion never tries one.
+    """
     if n < 0 or max_parts < 0:
         raise ValueError("n and max_parts must be non-negative")
-    out: List[Partition] = []
 
     def rec(remaining: int, max_part: int, slots: int, prefix: Tuple[int, ...]):
         if remaining == 0:
-            out.append(Partition(prefix))
+            yield prefix
             return
         if slots == 0:
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            rec(remaining - part, part, slots - 1, prefix + (part,))
+        for part in range(min(remaining, max_part), -(-remaining // slots) - 1, -1):
+            yield from rec(remaining - part, part, slots - 1, prefix + (part,))
 
-    rec(n, n, max_parts, ())
-    return out
+    return rec(n, n, max_parts, ())
+
+
+def enumerate_partitions(n: int, max_parts: int) -> List[Partition]:
+    """All partitions of n with at most max_parts parts, reverse lexicographic."""
+    return [_trusted(parts) for parts in partition_tuples(n, max_parts)]
 
 
 def enumerate_even_partitions(m: int, max_parts: int) -> List[Partition]:

@@ -1,5 +1,6 @@
 import pytest
 
+from orthospin import branching
 from orthospin.branching import (
     POSITIVITY_UNKNOWN,
     b_coefficient,
@@ -45,6 +46,23 @@ def test_b_examples():
     assert b_coefficient(mk([], 2, [2, 2]), 2) == 1
     with pytest.raises(ValueError):
         b_coefficient(mk([2, 2], 0, [2, 2]), 2)
+    with pytest.raises(ValueError):
+        b_coefficient(mk([1], 0, [1, 1, 1]), 2)
+    for theta in (2, 3):
+        with pytest.raises(ValueError):
+            b_coefficient(mk([3], -1, [1]), theta)
+
+
+def test_each_candidate_validated_once(monkeypatch):
+    calls = []
+    validate = branching._validate_pair
+    monkeypatch.setattr(branching, "_validate_pair",
+                        lambda pair, theta: calls.append(pair) or validate(pair, theta))
+    for theta, n in ((2, 12), (3, 7)):
+        calls.clear()
+        branching.enumerate_Pn.__wrapped__(n, theta)
+        candidates = enumerate_lambda_rho(n, theta)
+        assert calls == candidates, (theta, n, len(calls), len(candidates))
 
 
 def test_positivity_closed_form_examples():

@@ -1,9 +1,11 @@
+import itertools
 import math
 import types
 
 import numpy as np
 import pytest
 
+import orthospin.free_energy as fe
 from orthospin.free_energy import (
     LOG16,
     NotProvenError,
@@ -171,34 +173,69 @@ def test_transition_detectors_first_order_higher_theta():
         assert right - left > 0.01, theta
 
 
-def test_region_r_partials_match_finite_differences():
-    # gradient formulas used by the curve tracer vs numeric differentiation
-    import random
+def _compositions(theta):
+    """Every way to cut theta sorted coordinates into at least two blocks."""
+    for cuts in itertools.product((False, True), repeat=theta - 1):
+        if any(cuts):
+            sizes = [1]
+            for cut in cuts:
+                if cut:
+                    sizes.append(1)
+                else:
+                    sizes[-1] += 1
+            yield sizes
 
-    rng = random.Random(2)
-    for _ in range(10):
-        J1, J2 = rng.uniform(1.5, 3.0), rng.uniform(0.5, 2.5)
-        x1, x2 = 0.5, 0.3  # interior of the region
-        eps = 1e-6
 
-        def f(a, b):
-            x3 = 1 - a - b
-            return (
-                0.5 * (J2 * (-2 * a * a + b * b - 2 * a * b + 2 * a)
-                       + J1 * (2 * a + b - 1) ** 2)
-                - a * math.log(a) - b * math.log(b) - x3 * math.log(x3)
-            )
+# (L2, |h|) for each regime of the inner y maximisation, given Y = g_0 - g_last:
+# y_1 = |h|/L2 inside (0, Y) or clamped at Y, y_1 = 0, L2 = 0 without and
+# with a field, L2 < 0 without and with one
+Y_REGIMES = {
+    "L2>0 interior": lambda Y: (2.0, Y),
+    "L2>0 clamped": lambda Y: (0.5, Y),
+    "L2>0, no field": lambda Y: (1.0, 0.0),
+    "L2=0": lambda Y: (0.0, 0.0),
+    "L2=0, h": lambda Y: (0.0, 0.7),
+    "L2<0": lambda Y: (-1.3, 0.0),
+    "L2<0, h": lambda Y: (-1.3, 0.4),
+}
 
-        g1 = (f(x1 + eps, x2) - f(x1 - eps, x2)) / (2 * eps)
-        g2 = (f(x1, x2 + eps) - f(x1, x2 - eps)) / (2 * eps)
-        a1 = (2 * J1 - J2) * (2 * x1 + x2 - 1) - math.log(x1) + math.log(1 - x1 - x2)
-        a2 = (
-            J1 * (2 * x1 + x2 - 1)
-            + J2 * (x2 - x1)
-            - math.log(x2)
-            + math.log(1 - x1 - x2)
-        )
-        assert abs(g1 - a1) < 1e-6 and abs(g2 - a2) < 1e-6
+
+def test_block_derivatives_match_central_differences():
+    rng = np.random.default_rng(3)
+    eps = 1e-6
+    cases = 0
+    for theta in (2, 3, 4, 5):
+        for sizes in _compositions(theta):
+            for regime, couplings in Y_REGIMES.items():
+                L1 = float(rng.uniform(-1.0, 3.0))
+                # strictly decreasing block values with sum s_j g_j = 1
+                g = np.sort(rng.uniform(0.3, 1.0, len(sizes)))[::-1]
+                g[0] += 0.8
+                g /= np.dot(sizes, g)
+                L2, habs = couplings(g[0] - g[-1])
+
+                def blocks(free):
+                    return list(free) + [(1.0 - np.dot(sizes[:-1], free)) / sizes[-1]]
+
+                def value(free):
+                    return fe._block_value(sizes, L1, L2, habs, blocks(free))
+
+                def derivatives(free):
+                    return fe._block_derivatives(sizes, L1, L2, habs, blocks(free))
+
+                free = g[:-1]
+                grad, hess = derivatives(free)
+                for j in range(len(free)):
+                    e = np.zeros(len(free))
+                    e[j] = eps
+                    fd = (value(free + e) - value(free - e)) / (2 * eps)
+                    assert abs(grad[j] - fd) < 1e-7 * max(1.0, abs(fd)), (sizes, regime, j)
+                    col = (np.array(derivatives(free + e)[0])
+                           - np.array(derivatives(free - e)[0])) / (2 * eps)
+                    assert np.allclose(np.array(hess)[:, j], col, rtol=1e-6, atol=1e-6), (
+                        sizes, regime, j)
+                cases += 1
+    assert cases == 26 * len(Y_REGIMES)
 
 
 def test_maximize_phi_against_fine_scan_theta2():
@@ -314,6 +351,61 @@ def test_exit_directions_absorbing():
         pt = (start[0] + 0.1 * v[0], start[1] + 0.1 * v[1])
         if pt[0] >= pt[1]:
             assert not in_disordered_region(*pt), (v, pt)
+
+
+def test_in_disordered_region_needs_the_wedge():
+    assert in_disordered_region(2.0, 2.0)
+    for J1, J2 in ((2.0, 2.0 + 1e-9), (0.0, 1.0), (-1.0, 3.0)):
+        with pytest.raises(ValueError):
+            in_disordered_region(J1, J2)
+
+
+def test_one_maximiser_on_the_straight_piece():
+    # on J2 = 2 J1 - 3 the Hessian at the symmetric point is singular and
+    # Newton stalls ~1e-5 short of it from every nearby start
+    for J1 in (1.8, 2.0, 2.2):
+        L1, L2, _ = convert_parameters("J", J1, 2 * J1 - 3.0, 3)
+        res = maximize_phi(3, L1, L2)
+        assert len(res.points) == 1, (J1, res.points)
+        assert res.points[0].x == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+        up, down = one_sided_derivatives(3, L1, L2)
+        assert abs(up) < 1e-9 and abs(down) < 1e-9, (J1, up, down)
+
+
+def test_maximiser_near_the_simplex_boundary():
+    # x_3 ~ 2e-5 at the maximiser: the best grid points have x_3 = 0, and a
+    # Newton from there must stay inside the simplex
+    for L1, L2 in ((3.5, -7.5), (2.5, -8.0), (4.0, -5.0)):
+        res = maximize_phi(3, L1, L2)
+        assert len(res.points) == 1, (L1, L2)
+        p = res.points[0]
+        assert 0.0 < p.x[2] < 1e-3
+        assert phi(3, L1, L2, p) == pytest.approx(res.value, rel=1e-14)
+    assert maximize_phi(3, 3.5, -7.5).value == pytest.approx(1.7795609116925921, rel=1e-14)
+
+
+def _grid_by_slots(theta, step):
+    """The simplex grid built by filling theta slots (reference)."""
+    m = int(round(1.0 / step))
+    out = []
+
+    def rec(remaining, max_part, slots, prefix):
+        if slots == 1:
+            if remaining <= max_part:
+                out.append(prefix + (remaining,))
+            return
+        lo = (remaining + slots - 1) // slots
+        for v in range(min(remaining, max_part), lo - 1, -1):
+            rec(remaining - v, v, slots - 1, prefix + (v,))
+
+    rec(m, m, theta, ())
+    return np.array(out, dtype=float) / m
+
+
+def test_simplex_grid_is_the_partition_lattice():
+    for theta, step in ((2, 1e-3), (3, 1e-3), (3, 0.004), (4, 0.01), (5, 0.02)):
+        got, want = fe._sorted_simplex_grid(theta, step), _grid_by_slots(theta, step)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (theta, step)
 
 
 def test_maximize_phi_rejects_non_finite_couplings():

@@ -13,6 +13,7 @@ from orthospin.partitions import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    partition_tuples,
     transpose,
 )
 
@@ -53,6 +54,33 @@ def test_enumerate_examples():
     assert enumerate_partitions(0, 3) == [EMPTY]
     assert [p.parts for p in enumerate_partitions(3, 2)] == [(3,), (2, 1)]
     assert len(enumerate_partitions(8, 3)) == 10
+
+
+def _partitions_unpruned(n, max_parts):
+    """The enumeration without the lower bound on each part (reference)."""
+    out = []
+
+    def rec(remaining, max_part, slots, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        if slots == 0:
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            rec(remaining - part, part, slots - 1, prefix + (part,))
+
+    rec(n, n, max_parts, ())
+    return out
+
+
+def test_pruned_enumeration_matches_unpruned():
+    for n in range(31):
+        for max_parts in range(n + 1):
+            want = _partitions_unpruned(n, max_parts)
+            assert list(partition_tuples(n, max_parts)) == want, (n, max_parts)
+        assert [p.parts for p in enumerate_partitions(n, n)] == want
+    with pytest.raises(ValueError):
+        partition_tuples(-1, 2)
 
 
 def test_enumerate_brute_force_triples():
