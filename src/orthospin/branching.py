@@ -1,14 +1,16 @@
 """Brauer-algebra / symmetric-group branching coefficients b^{n,theta}.
 
-Exact values for theta = 2, 3 come from the column recurrence (strip the
-theta-th row of rho, flipping lambda when the stripped row length is odd)
-followed by the cell-module identity b = btilde valid once the first two
-columns of rho sum to at most theta + 1.  For general theta the one-column
-rule (lambda a single column (1^j): b = 1 exactly when rho has j odd parts)
-and the same cell identity cover part of the lattice; outside that the
-package answers from a dense spectral-extraction oracle when the tensor
-space is small, and otherwise returns an explicit POSITIVITY_UNKNOWN
-sentinel rather than a guess.
+One path decides a pair (lambda, k, rho).  reduce_by_recurrence strips the
+theta-th row of rho, flipping lambda when the stripped row length is odd; a
+negative defect after the strip means b = 0.  On the reduced pair the
+one-column rule (lambda = (1^j): b = 1 exactly when rho has j odd parts) or
+the cell-module identity b = btilde (valid once the first two columns of rho
+sum to at most theta + 1) gives b.  That decides every pair at theta = 2, 3
+and part of the lattice beyond.  b_coefficient answers the rest from the
+cached enumerate_Pn(n, theta, oracle=True), one dense spectral extraction
+per (n, theta) under the dense cap, and otherwise returns an explicit
+POSITIVITY_UNKNOWN sentinel rather than a guess.  The extraction places the
+lines by spectra.line_eigenvalue, as the character route does.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .partitions import (
     Partition,
     admissible_lambda,
     column_flip,
-    content_sum,
     enumerate_lambda_rho,
-    transpose,
+    first_two_columns,
+    line_invariants,
 )
 from .tableaux import cell_branching, dim_sn
 
@@ -51,7 +53,7 @@ def _validate_pair(pair: LambdaRhoPair, theta: int) -> None:
         raise ValueError(f"{pair!r} has negative defect")
     if not admissible_lambda(pair.lam, theta):
         raise ValueError(f"{pair!r}: lambda columns exceed theta={theta}")
-    if transpose(pair.rho)[0] > theta:
+    if len(pair.rho) > theta:
         raise ValueError(f"{pair!r}: rho has more than theta={theta} rows")
 
 
@@ -82,13 +84,6 @@ def _is_one_column(lam: Partition) -> Optional[int]:
 
 def _odd_parts(rho: Partition) -> int:
     return sum(1 for p in rho.parts if p % 2 == 1)
-
-
-def _rho_two_columns(rho: Partition) -> int:
-    cols = transpose(rho).parts
-    t1 = cols[0] if cols else 0
-    t2 = cols[1] if len(cols) > 1 else 0
-    return t1 + t2
 
 
 def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
@@ -132,32 +127,28 @@ def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
 
 
 def _b_by_reduction(pair: LambdaRhoPair, theta: int):
-    """Recurrence + cell-module path; exact for theta=2,3, partial beyond."""
-    reduced = pair
-    rt = pair.rho[theta - 1]
-    if rt > 0:
-        new_rho = Partition(tuple(max(r - rt, 0) for r in pair.rho.parts))
-        lam = pair.lam if rt % 2 == 0 else column_flip(pair.lam, theta)
-        if lam.size > new_rho.size:
-            return 0
-        reduced = LambdaRhoPair(lam, (new_rho.size - lam.size) // 2, new_rho)
+    """Recurrence + cell-module path; exact for theta=2,3, None where it
+    cannot decide beyond."""
+    reduced = reduce_by_recurrence(pair, theta)
+    if reduced.k < 0:
+        return 0
     lam, rho = reduced.lam, reduced.rho
     j = _is_one_column(lam)
     if j is not None:
         return 1 if _odd_parts(rho) == j else 0
-    if _rho_two_columns(rho) <= theta + 1:
+    if sum(first_two_columns(rho)) <= theta + 1:
         return cell_branching(lam, rho)
     return None
 
 
-def b_coefficient(pair: LambdaRhoPair, theta: int, use_oracle: bool = True,
-                  oracle_seed: int = 0):
+def b_coefficient(pair: LambdaRhoPair, theta: int, use_oracle: bool = True):
     """Exact branching coefficient, or POSITIVITY_UNKNOWN when out of reach.
 
     theta=2: every positive coefficient equals one, so the closed-form
     predicate is the value.  theta=3: recurrence + cell-module reduction
     (always applicable).  theta>=4: one-column rule and the cell identity
-    where they apply, otherwise the dense spectral oracle for small n.
+    where they apply, otherwise, for small n, the value in the cached
+    enumerate_Pn(n, theta, oracle=True), so each size is extracted once.
     """
     if theta == 2:
         # the predicate validates the pair
@@ -166,13 +157,11 @@ def b_coefficient(pair: LambdaRhoPair, theta: int, use_oracle: bool = True,
     value = _b_by_reduction(pair, theta)
     if value is not None:
         return value
-    if use_oracle:
-        n = pair.rho.size
-        from .spectra import dense_cap
+    from .spectra import dense_cap
 
-        if theta**n <= dense_cap():
-            table = _oracle_table(n, theta, oracle_seed)
-            return table[(pair.lam.parts, pair.k, pair.rho.parts)]
+    n = pair.rho.size
+    if use_oracle and theta**n <= dense_cap():
+        return next((b for p, b in enumerate_Pn(n, theta, oracle=True) if p == pair), 0)
     return POSITIVITY_UNKNOWN
 
 
@@ -224,30 +213,20 @@ def _omega3(rho: Partition) -> float:
     return float(total - n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=None)
-def _oracle_table(n: int, theta: int, seed: int = 0) -> Dict[Tuple, int]:
-    pairs_b = spectral_extract_branching(n, theta, seed=seed)
-    return {
-        (pair.lam.parts, pair.k, pair.rho.parts): b for pair, b in pairs_b
-    }
+_MAX_RESAMPLES = 10
 
 
-def spectral_extract_branching(
-    n: int,
-    theta: int,
-    L1: Optional[float] = None,
-    L2: Optional[float] = None,
-    seed: int = 0,
-    max_resamples: int = 10,
-) -> List[Tuple[LambdaRhoPair, int]]:
-    """Read b off the dense spectrum of H(L1, L2).
+def spectral_extract_branching(n: int, theta: int,
+                               seed: int = 0) -> List[Tuple[LambdaRhoPair, int]]:
+    """Read b off the dense spectrum of H(L1, L2) at couplings drawn from seed.
 
     Candidates sharing the exact integer invariants (c(rho), c(lambda) +
     k(1-theta)) collide at every parameter choice; those groups are resolved
     by combining the measured eigenspace dimension, the cell-module upper
     bound b <= btilde, and the restriction of the 3-cycle class sum to the
     eigenspace.  Raises UnresolvedExtractionError when that still leaves
-    more than one integer solution.
+    more than one integer solution, or when _MAX_RESAMPLES draws of the
+    couplings leave two groups' lines closer than 1e-3 max(1, n).
     """
     from . import spectra
     from .group_chars import dim_o
@@ -255,10 +234,7 @@ def spectral_extract_branching(
     spectra._check_cap(theta, n)
     rng = np.random.default_rng(seed)
     candidates = enumerate_lambda_rho(n, theta)
-    invariants = [
-        (content_sum(p.rho), content_sum(p.lam) + p.k * (1 - theta))
-        for p in candidates
-    ]
+    invariants = [line_invariants(p, theta) for p in candidates]
     weights = [dim_o(p.lam, theta) * dim_sn(p.rho) for p in candidates]
     btilde = []
     for p in candidates:
@@ -269,20 +245,13 @@ def spectral_extract_branching(
     for i, inv in enumerate(invariants):
         groups.setdefault(inv, []).append(i)
     group_keys = list(groups.keys())
-
-    def predicted(key: Tuple[int, int], l1: float, l2: float) -> float:
-        crho, cbr = key
-        return -((l1 + l2) * crho - l2 * cbr)
+    c_rho, c_lam = (np.array(v, dtype=float) for v in zip(*group_keys))
 
     # find parameters separating the distinct invariant groups
-    for attempt in range(max_resamples):
-        if L1 is not None and attempt == 0:
-            l1, l2 = float(L1), float(L2)
-        else:
-            l1 = float(rng.uniform(0.6, 2.0))
-            l2 = float(rng.uniform(0.25, 1.0)) * (1 if attempt % 2 == 0 else -1)
-        values = [predicted(k, l1, l2) for k in group_keys]
-        order = np.argsort(values)
+    for attempt in range(_MAX_RESAMPLES):
+        l1 = float(rng.uniform(0.6, 2.0))
+        l2 = float(rng.uniform(0.25, 1.0)) * (1 if attempt % 2 == 0 else -1)
+        values = spectra.line_eigenvalue(c_rho, c_lam, l1, l2)
         gaps = np.diff(np.sort(values))
         if len(values) < 2 or np.min(gaps) > 1e-3 * max(1.0, n):
             break
@@ -296,7 +265,6 @@ def spectral_extract_branching(
     offsets = np.cumsum([0] + [len(e) for e, _ in solved])
 
     match_tol = 1e-7 * max(1.0, float(np.max(np.abs(evals))))
-    values = np.array([predicted(k, l1, l2) for k in group_keys])
     assign = np.argmin(np.abs(evals[:, None] - values[None, :]), axis=1)
     if np.max(np.abs(evals - values[assign])) > match_tol:
         raise UnresolvedExtractionError("dense eigenvalue outside every predicted line")

@@ -140,11 +140,12 @@ def spectrum(theta, n, p1, p2, out):
 @click.option("--out", type=str, default=None)
 def branching_cmd(theta, n, oracle, p1, p2, out):
     """CSV of branching data: lambda, k, rho, b, d_O, d_Sn, eigenvalue."""
+    table = spectra.line_table(n, theta, oracle)
+    energies = spectra.line_eigenvalue(table.c_rho, table.c_lam, p1, p2).tolist()
     rows = [
         [format_partition(pair.lam), str(pair.k), format_partition(pair.rho),
-         str(b), str(d_o), str(d_sn),
-         f17(spectra.line_eigenvalue(pair.lam, pair.k, pair.rho, theta, p1, p2))]
-        for pair, b, d_o, d_sn in spectra.line_table(n, theta, oracle).rows()
+         str(b), str(d_o), str(d_sn), f17(e)]
+        for (pair, b, d_o, d_sn), e in zip(table.rows(), energies)
     ]
     _write_csv(out, ["lambda", "k", "rho", "b", "d_O", "d_Sn", "eigenvalue"], rows)
 

@@ -252,8 +252,9 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
                  tie_tol: float = 1e-8) -> MaximizeResult:
     """Global maximum of phi (+ |h| y_1 when h != 0) over the ordered simplex.
 
-    The full (L1, L2) plane is available for theta in {2, 3}; for larger
-    theta only L2 >= 0 is covered and L2 < 0 raises NotProvenError.  All
+    The full (L1, L2) plane and every h are available for theta in {2, 3};
+    for larger theta only L2 >= 0 at h = 0 is covered, and L2 < 0 or h != 0
+    raises NotProvenError.  All
     maximisers within tie_tol of the best value are returned, one for each
     group of refined limits within _MERGE_DIST of one another.
     """
@@ -261,10 +262,8 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
         raise ValueError("theta >= 2 required")
     if not all(math.isfinite(v) for v in (L1, L2, h)):
         raise ValueError(f"couplings must be finite, got L1={L1!r}, L2={L2!r}, h={h!r}")
-    if theta not in (2, 3) and L2 < 0.0:
-        raise NotProvenError(
-            f"free energy unknown for theta={theta}, L2={L2} < 0"
-        )
+    if theta not in (2, 3) and (L2 < 0.0 or h != 0.0):
+        raise NotProvenError(f"free energy unknown for theta={theta}, L2={L2}, h={h}")
     habs = abs(h)
     grid = _sorted_simplex_grid(theta, _GRID_STEP.get(theta, 0.05))
     f_vec = _objective_factory(theta, L1, L2, habs)
@@ -303,12 +302,6 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
         res = _grouped_newton(L1, L2, habs, x0)
         if res is not None:
             refined.append(res)
-        # also try merging near-equal coordinates more aggressively
-        res2 = _grouped_newton(
-            L1, L2, habs, tuple(round(v, 2) + 1e-9 for v in x0)
-        ) if theta > 2 else None
-        if res2 is not None:
-            refined.append(res2)
     if not refined:
         # fall back to the best grid point (should not happen in practice)
         i = int(np.argmax(vals))
@@ -325,7 +318,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
     y1_interval = None
     for _, xs in sorted(kept, key=lambda t: -t[0]):
         _, y = _y_bonus(L2, habs, xs[0] - xs[-1])
-        ys = (y,) + (0.0,) * (theta - 1) if theta in (2, 3) else (0.0,) * theta
+        ys = (y,) + (0.0,) * (theta - 1)
         points.append(SimplexPoint(xs, ys))
     if L2 == 0.0 and habs == 0.0 and theta in (2, 3):
         ymax = max(p.x[0] - p.x[-1] for p in points)

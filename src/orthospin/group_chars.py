@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .partitions import Partition, admissible_lambda, column_flip, transpose
+from .partitions import Partition, admissible_lambda, column_flip, first_two_columns
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,9 @@ def dim_o(lam: Partition, theta: int) -> int:
     theta with exactly theta/2 nonzero rows the restriction to SO(theta)
     splits into two pieces of equal dimension.
     """
-    if not admissible_lambda(lam, theta):
+    t1, t2 = first_two_columns(lam)
+    if t1 + t2 > theta:
         raise ValueError(f"{lam!r} not an O({theta}) label")
-    cols = transpose(lam).parts
-    t1 = cols[0] if cols else 0
     if 2 * t1 > theta:
         lam = column_flip(lam, theta)
     r = theta // 2

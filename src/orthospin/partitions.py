@@ -105,6 +105,14 @@ def content_sum(p: Partition) -> int:
     return total
 
 
+def first_two_columns(p: Partition) -> Tuple[int, int]:
+    """(t1, t2): the lengths of the first two columns of p, zero when absent.
+
+    t1 counts the rows, t2 the rows of length at least two.
+    """
+    return len(p.parts), sum(1 for row in p.parts if row > 1)
+
+
 def column_flip(p: Partition, theta: int) -> Partition:
     """Replace the first column length t1 by theta - t1, keep the rest.
 
@@ -112,16 +120,12 @@ def column_flip(p: Partition, theta: int) -> Partition:
     an involution and implements the determinant twist on orthogonal
     highest weights.
     """
-    cols = transpose(p).parts
-    t1 = cols[0] if cols else 0
-    t2 = cols[1] if len(cols) > 1 else 0
+    t1, t2 = first_two_columns(p)
     if t1 + t2 > theta:
         raise ValueError(
             f"column_flip undefined: first two columns {t1}+{t2} exceed theta={theta}"
         )
-    new_first = theta - t1
-    new_cols = (new_first,) + cols[1:]
-    return transpose(Partition(new_cols))
+    return transpose(Partition((theta - t1,) + transpose(p).parts[1:]))
 
 
 def partition_tuples(n: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
@@ -186,10 +190,13 @@ class LambdaRhoPair:
 
 def admissible_lambda(lam: Partition, theta: int) -> bool:
     """First two columns of lambda sum to at most theta."""
-    cols = transpose(lam).parts
-    t1 = cols[0] if cols else 0
-    t2 = cols[1] if len(cols) > 1 else 0
-    return t1 + t2 <= theta
+    return sum(first_two_columns(lam)) <= theta
+
+
+def line_invariants(pair: LambdaRhoPair, theta: int) -> Tuple[int, int]:
+    """(c(rho), c(lambda) + k(1 - theta)): the two integers that fix the
+    eigenvalue of the line (lambda, k, rho) at every coupling."""
+    return content_sum(pair.rho), content_sum(pair.lam) + pair.k * (1 - theta)
 
 
 def enumerate_lambda_rho(n: int, theta: int) -> List[LambdaRhoPair]:

@@ -34,16 +34,19 @@ ground-state checks.
 Character route
 ---------------
 z_decomposed sums over the positive lines (lambda, k, rho) of
-enumerate_Pn.  What does not depend on the couplings sits in one cached
-LineTable per (n, theta, oracle): the pairs with their exact b and
+enumerate_Pn: the exact lines by default, the lines of the dense spectral
+extraction with oracle=True.  What does not depend on the couplings sits in
+one cached LineTable per (n, theta, oracle): the pairs with their exact b and
 d_Sn = dim_sn(rho), an index into the distinct lambda with d_O = dim_o(lambda)
-computed once per lambda, and float arrays of log(b d_Sn), c(rho) and
-c(lambda) + k(1 - theta).  A call evaluates one log-character per distinct
-lambda (log d_O at h = 0) and takes a numpy log-sum-exp over the lines.
-spectral_lines and the command line's branching and schur-weyl output read
-b, d_O and d_Sn from the same table.  z_direct also sums its blocks in the
-log domain.  Both raise ValueError, stating log Z, when Z is not a positive
-finite double (exit 2 on the command line) rather than returning inf.
+computed once per lambda, log(b d_Sn), and the line invariants c(rho) and
+c(lambda) + k(1 - theta) of partitions.line_invariants, which
+line_eigenvalue, the one copy of the line formula, turns into eigenvalues.
+A call evaluates one log-character per distinct lambda (log d_O at h = 0)
+and takes a numpy log-sum-exp over the lines.  spectral_lines and the command
+line's branching and schur-weyl output read the same table.  z_direct also
+sums its blocks in the log domain.  Both raise ValueError, stating log Z,
+when Z is not a positive finite double (exit 2 on the command line) rather
+than returning inf.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 
 from . import branching
 from .group_chars import FieldDirection, char_o_field, dim_o
-from .partitions import LambdaRhoPair, Partition, content_sum
+from .partitions import LambdaRhoPair, Partition, line_invariants
 from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
@@ -133,10 +136,11 @@ class SpectralLine:
     multiplicity: int
 
 
-def line_eigenvalue(lam: Partition, k: int, rho: Partition,
-                    theta: int, L1: float, L2: float) -> float:
-    """-( (L1+L2) c(rho) - L2 (c(lambda) + k(1-theta)) )."""
-    return -((L1 + L2) * content_sum(rho) - L2 * (content_sum(lam) + k * (1 - theta)))
+def line_eigenvalue(c_rho, c_lam, L1: float, L2: float):
+    """-((L1+L2) c(rho) - L2 (c(lambda) + k(1-theta))), the eigenvalue of H on
+    the line (lambda, k, rho), from its invariants (c_rho, c_lam) as given by
+    partitions.line_invariants; scalars or numpy arrays."""
+    return -((L1 + L2) * c_rho - L2 * c_lam)
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +380,24 @@ def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
     pairs = tuple(pair for pair, _ in pn)
     b = tuple(b for _, b in pn)
     d_sn = tuple(d_sn_of[p.rho] for p in pairs)
+    c_rho, c_lam = (np.array(v, dtype=float)
+                    for v in zip(*(line_invariants(p, theta) for p in pairs)))
     return LineTable(
         pairs, b, d_sn, tuple(lam_of), tuple(dim_o(lam, theta) for lam in lam_of),
         lam_index=np.array([lam_of[p.lam] for p in pairs], dtype=np.intp),
         log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
-        c_rho=np.array([content_sum(p.rho) for p in pairs], dtype=float),
-        c_lam=np.array([content_sum(p.lam) + p.k * (1 - theta) for p in pairs], dtype=float),
+        c_rho=c_rho, c_lam=c_lam,
     )
 
 
 def spectral_lines(n: int, theta: int, L1: float, L2: float,
-                   mode: str = "exact") -> List[SpectralLine]:
+                   oracle: bool = False) -> List[SpectralLine]:
     """One line per (lambda, k, rho) with positive branching coefficient."""
+    table = line_table(n, theta, oracle)
+    energies = line_eigenvalue(table.c_rho, table.c_lam, L1, L2).tolist()
     return [
-        SpectralLine(pair.lam, pair.k, pair.rho,
-                     line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2),
-                     d_o * b * d_sn)
-        for pair, b, d_o, d_sn in line_table(n, theta, mode == "oracle").rows()
+        SpectralLine(pair.lam, pair.k, pair.rho, e, d_o * b * d_sn)
+        for (pair, b, d_o, d_sn), e in zip(table.rows(), energies)
     ]
 
 
@@ -430,13 +435,14 @@ def z_direct(spec: HamiltonianSpec) -> float:
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
                  direction: Optional[FieldDirection] = None,
-                 mode: str = "exact", flavor: str = "Q") -> float:
+                 oracle: bool = False, flavor: str = "Q") -> float:
     """Character-sum partition function over the positive branching lines.
 
     Each line contributes chi_lam(exp(hW)) * b * dim_sn(rho) * exp(-E/n),
     with the character replaced by the plain dimension at h = 0; the sum
     runs in the log domain over line_table(n, theta), with one character
-    per distinct lambda.  The lines are those of flavor Q, which is
+    per distinct lambda; oracle=True reads the lines of the dense spectral
+    extraction (small n only) instead of the exact ones.  The lines are those of flavor Q, which is
     unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
     has no lines here.  Raises ValueError when Z or a character is not a
@@ -447,7 +453,7 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
         if theta != 2:
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
         log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
-    table = line_table(n, theta, mode == "oracle")
+    table = line_table(n, theta, oracle)
     if h == 0.0:
         log_chi = np.log(np.array(table.d_o, dtype=float))
     else:
@@ -461,7 +467,7 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
             raise ValueError(f"a character at h={h!r} is not a positive finite double")
         log_chi = np.log(chi)
     exponents = (log_chi[table.lam_index] + table.log_weight
-                 + ((L1 + L2) * table.c_rho - L2 * table.c_lam) / n)
+                 - line_eigenvalue(table.c_rho, table.c_lam, L1, L2) / n)
     return _z_from_log(log_shift + _logsumexp(exponents))
 
 

@@ -29,7 +29,13 @@ from orthospin.free_energy import (
     trace_curve_C,
 )
 from orthospin.group_chars import char_ratio_o, dim_o
-from orthospin.partitions import EMPTY, Partition, enumerate_lambda_rho
+from orthospin.partitions import (
+    EMPTY,
+    LambdaRhoPair,
+    Partition,
+    enumerate_lambda_rho,
+    line_invariants,
+)
 from orthospin.spectra import (
     HamiltonianSpec,
     build_hamiltonian,
@@ -241,7 +247,8 @@ def test_criterion_10_ground_states():
     for theta, n in ((2, 4), (2, 6), (3, 4)):
         v = dimer_ground_state(n, theta)
         H = build_hamiltonian(HamiltonianSpec(theta, n, 1.0, 1.0))
-        e = line_eigenvalue(EMPTY, n // 2, Partition([n]), theta, 1.0, 1.0)
+        ground = LambdaRhoPair(EMPTY, n // 2, Partition([n]))
+        e = line_eigenvalue(*line_invariants(ground, theta), 1.0, 1.0)
         res = float(np.max(np.abs(H @ v - e * v)) / np.linalg.norm(v))
         worst = max(worst, res)
         assert res <= 1e-10, (theta, n, res)

@@ -174,10 +174,47 @@ def test_spectral_extraction_matches_closed_forms():
 def test_spectral_extraction_given_parameters():
     res = dict(
         ((p.lam.parts, p.rho.parts), b)
-        for p, b in spectral_extract_branching(2, 2, 0.7, 0.3)
+        for p, b in spectral_extract_branching(2, 2, seed=7)
     )
     assert res == {((2,), (2,)): 1, ((), (2,)): 1, ((1, 1), (1, 1)): 1,
                    ((1, 1), (2,)): 0, ((2,), (1, 1)): 0, ((), (1, 1)): 0}
+
+
+@pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5)])
+def test_reduction_matches_extraction_beyond_theta3(theta, nmax):
+    # the recurrence and the cell identity agree with the dense oracle on
+    # every pair they decide
+    for n in range(1, nmax + 1):
+        decided = 0
+        for pair, b in spectral_extract_branching(n, theta):
+            red = _b_by_reduction(pair, theta)
+            if red is not None:
+                decided += 1
+                assert red == b, (theta, n, pair, red, b)
+        assert decided > 0, (theta, n)
+
+
+def test_oracle_fallback_reads_the_oracle_line_table(monkeypatch):
+    # b_coefficient answers an undecided pair from enumerate_Pn(oracle=True),
+    # so the line table, the fallback and z_decomposed share one extraction
+    from orthospin import spectra
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return spectral_extract_branching(*args, **kwargs)
+
+    monkeypatch.setattr(branching, "spectral_extract_branching", counting)
+    branching.enumerate_Pn.cache_clear()
+    spectra.line_table.cache_clear()
+    spectra.line_table(6, 4, oracle=True)
+    pair = mk([6], 0, [2, 2, 2])
+    assert _b_by_reduction(pair, 4) is None
+    assert b_coefficient(pair, 4) == 0
+    z = spectra.z_decomposed(6, 4, 0.9, 0.6, oracle=True)
+    assert z == pytest.approx(14744.46169763795, rel=1e-12, abs=0.0)
+    assert len(calls) == 1
 
 
 def test_okada_rule_theta4():

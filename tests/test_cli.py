@@ -40,6 +40,8 @@ def test_free_energy_at_spin1_criticality():
 def test_not_proven_exit_code():
     res = run("free-energy", "--theta", "5", "--p1", "1", "--p2", "-1")
     assert res.exit_code == 3
+    res = run("free-energy", "--theta", "4", "--p1", "1", "--p2", "0.5", "--h", "0.3")
+    assert res.exit_code == 3 and res.stdout == ""
 
 
 def test_usage_error_exit_code():

@@ -1,7 +1,8 @@
 """CLI output on a fixed command set against recorded fixtures.
 
-spectrum, branching and verify schur-weyl must reproduce the recorded output
-byte for byte; zchar, zexact and total-spin must reproduce every recorded
+spectrum, branching and verify schur-weyl, and commands the theory does not
+cover (exit 3, nothing on stdout), must reproduce the recorded output byte for
+byte; zchar, zexact and total-spin must reproduce every recorded
 JSON number to REL_TOL relative and every other field exactly.  The
 variational commands (free-energy, phase-scan, curve-c, magnetization) must
 reproduce every phase label and other non-number field exactly, every value
@@ -41,6 +42,7 @@ EXACT = [
     "verify schur-weyl --theta 2 --n 30",
     "verify schur-weyl --theta 3 --n 12",
     "verify schur-weyl --theta 4 --n 4 --oracle",
+    "free-energy --theta 4 --p1 1 --p2 0.5 --h 0.3",
 ]
 NUMERIC = [
     "zchar --theta 2 --n 40 --p1 1.3 --p2 -0.4 --h 0.3",
@@ -64,7 +66,6 @@ VARIATIONAL = [
     "free-energy --theta 3 --param-mode J --p1 -1 --p2 -6 --h 0.5",
     "free-energy --theta 3 --p1 1.2 --p2 -0.7 --h -1",
     "free-energy --theta 4 --p1 3 --p2 1",
-    "free-energy --theta 4 --p1 1 --p2 0.5 --h 0.3",
     "free-energy --theta 5 --p1 4 --p2 0.5",
     "free-energy --theta 5 --p1 2 --p2 1",
     "phase-scan --theta 2 --p1-min -2 --p1-max 8 --p2-min -2 --p2-max 8 --steps 3",

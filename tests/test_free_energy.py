@@ -101,6 +101,10 @@ def test_maximizer_shape_for_nonnegative_l2():
 def test_not_proven_region():
     with pytest.raises(NotProvenError):
         maximize_phi(4, 1.0, -0.5)
+    # the field term is proved for theta in {2, 3} only
+    for theta, L1, L2, h in ((4, 1.0, 0.5, 0.3), (5, 3.22, 0.429, -1.0), (5, 0.0, 2.25, -1.0)):
+        with pytest.raises(NotProvenError):
+            maximize_phi(theta, L1, L2, h=h)
 
 
 def test_free_energy_values():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orthospin import branching
 from orthospin.brauer import embed_pair, pair_p_matrix, pair_q_matrix, pair_t_matrix, perm_matrix
 from orthospin.group_chars import FieldDirection, char_o_field, dim_o
-from orthospin.partitions import EMPTY, Partition
+from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariants
 from orthospin.spectra import (
     HamiltonianSpec,
     build_hamiltonian,
@@ -83,7 +83,8 @@ def test_spectral_lines_n2():
 def test_ground_line_eigenvalue_formula():
     for theta, n in ((2, 6), (3, 4), (5, 4)):
         L1, L2 = 1.3, 0.4
-        e = line_eigenvalue(EMPTY, n // 2, Partition([n]), theta, L1, L2)
+        ground = LambdaRhoPair(EMPTY, n // 2, Partition([n]))
+        e = line_eigenvalue(*line_invariants(ground, theta), L1, L2)
         expect = -((L1 + L2) * n * (n - 1) / 2 - L2 * (n / 2) * (1 - theta))
         assert e == pytest.approx(expect)
 
@@ -207,7 +208,8 @@ def test_dimer_ground_state():
     for theta, n, flavor in ((2, 4, "Q"), (2, 6, "Q"), (3, 4, "Q"), (3, 4, "P")):
         v = dimer_ground_state(n, theta, flavor)
         H = build_hamiltonian(HamiltonianSpec(theta, n, 1.0, 1.0, flavor=flavor))
-        e = line_eigenvalue(EMPTY, n // 2, Partition([n]), theta, 1.0, 1.0)
+        ground = LambdaRhoPair(EMPTY, n // 2, Partition([n]))
+        e = line_eigenvalue(*line_invariants(ground, theta), 1.0, 1.0)
         emin = np.linalg.eigvalsh(H)[0]
         assert emin == pytest.approx(e)
         assert np.max(np.abs(H @ v - e * v)) / np.linalg.norm(v) < 1e-10
@@ -268,10 +270,10 @@ def test_field_with_custom_direction():
 def test_oracle_mode_theta4_end_to_end():
     # spectral lines from the extraction oracle reproduce the dense trace
     for n in (2, 3, 4):
-        total = sum(l.multiplicity for l in spectral_lines(n, 4, 1.0, 1.0, mode="oracle"))
+        total = sum(l.multiplicity for l in spectral_lines(n, 4, 1.0, 1.0, oracle=True))
         assert total == 4**n
         zd = z_direct(HamiltonianSpec(4, n, 0.9, 0.6))
-        zc = z_decomposed(n, 4, 0.9, 0.6, mode="oracle")
+        zc = z_decomposed(n, 4, 0.9, 0.6, oracle=True)
         assert abs(zd - zc) / zd < 1e-11
 
 
@@ -376,17 +378,17 @@ def test_z_decomposed_flavor_p():
         z_decomposed(3, 4, 1.0, 0.7, flavor="P")
 
 
-def _z_by_lines(n, theta, L1, L2, h=0.0, mode="exact"):
+def _z_by_lines(n, theta, L1, L2, h=0.0, oracle=False):
     """Z as a plain float sum over the lines, one term at a time: the
     reference for the table's log-domain sum."""
     direction = FieldDirection.default(theta)
     total = 0.0
-    for pair, b in branching.enumerate_Pn(n, theta, oracle=(mode == "oracle")):
+    for pair, b in branching.enumerate_Pn(n, theta, oracle=oracle):
         if h == 0.0:
             chi = float(dim_o(pair.lam, theta))
         else:
             chi = char_o_field(pair.lam, theta, h, direction)
-        e = line_eigenvalue(pair.lam, pair.k, pair.rho, theta, L1, L2)
+        e = line_eigenvalue(*line_invariants(pair, theta), L1, L2)
         total += chi * b * dim_sn(pair.rho) * math.exp(-e / n)
     return total
 
@@ -409,8 +411,8 @@ def test_table_sum_matches_line_loop(size, L1, L2, h):
 @pytest.mark.parametrize("theta,n", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
 def test_oracle_table_sum_matches_line_loop(theta, n):
     for L1, L2, h in ((1.0, 0.5, 0.0), (-1.3, 1.7, 0.4)):
-        ref = _z_by_lines(n, theta, L1, L2, h, mode="oracle")
-        got = z_decomposed(n, theta, L1, L2, h=h, mode="oracle")
+        ref = _z_by_lines(n, theta, L1, L2, h, oracle=True)
+        got = z_decomposed(n, theta, L1, L2, h=h, oracle=True)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
