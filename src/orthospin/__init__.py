@@ -24,7 +24,6 @@ from .group_chars import (
     dim_so,
 )
 from .branching import (
-    POSITIVITY_UNKNOWN,
     b_coefficient,
     enumerate_Pn,
     is_positive_closed_form,

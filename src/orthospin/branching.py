@@ -1,21 +1,20 @@
 """Brauer-algebra / symmetric-group branching coefficients b^{n,theta}.
 
-One path decides a pair (lambda, k, rho).  reduce_by_recurrence strips the
-theta-th row of rho, flipping lambda when the stripped row length is odd; a
-negative defect after the strip means b = 0.  On the reduced pair the
-one-column rule (lambda = (1^j): b = 1 exactly when rho has j odd parts) or
-the cell-module identity b = btilde (valid once the first two columns of rho
-sum to at most theta + 1) gives b.  That decides every pair at theta = 2, 3
-and part of the lattice beyond.  b_coefficient answers the rest from the
-cached enumerate_Pn(n, theta, oracle=True), one dense spectral extraction
-per (n, theta) under the dense cap, and otherwise returns an explicit
-POSITIVITY_UNKNOWN sentinel rather than a guess.  The extraction places the
-lines by spectra.line_eigenvalue, as the character route does.
+One exact path decides a pair (lambda, k, rho) at every theta.
+reduce_by_recurrence strips the theta-th row of rho, flipping lambda when
+the stripped row length is odd (b = 0 if the defect turns negative).  On the
+reduced pair the one-column rule (lambda = (1^j): b = 1 exactly when rho has
+j odd parts) or the cell identity b = btilde (once the first two columns of
+rho sum to at most theta + 1) decides every pair at theta = 2, 3.  The rest
+(theta >= 4) take King's modification rule (R. C. King, J. Phys. A 8 (1975)
+429; K. Koike and I. Terada, J. Algebra 107 (1987) 466).  The dense spectral
+extraction is kept as a check; it places the lines by spectra.line_eigenvalue.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -31,17 +30,6 @@ from .partitions import (
     line_invariants,
 )
 from .tableaux import cell_branching, dim_sn
-
-
-class _PositivityUnknown:
-    def __repr__(self):
-        return "POSITIVITY_UNKNOWN"
-
-    def __bool__(self):
-        raise TypeError("branching coefficient unknown; no truth value")
-
-
-POSITIVITY_UNKNOWN = _PositivityUnknown()
 
 
 class UnresolvedExtractionError(RuntimeError):
@@ -126,9 +114,9 @@ def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
     raise AssertionError(f"unexpected theta=3 label {lam!r}")
 
 
-def _b_by_reduction(pair: LambdaRhoPair, theta: int):
-    """Recurrence + cell-module path; exact for theta=2,3, None where it
-    cannot decide beyond."""
+def _b_by_reduction(pair: LambdaRhoPair, theta: int) -> Optional[int]:
+    """Recurrence + cell-module path; exact at theta=2,3, else None where
+    it cannot decide."""
     reduced = reduce_by_recurrence(pair, theta)
     if reduced.k < 0:
         return 0
@@ -141,48 +129,65 @@ def _b_by_reduction(pair: LambdaRhoPair, theta: int):
     return None
 
 
-def b_coefficient(pair: LambdaRhoPair, theta: int, use_oracle: bool = True):
-    """Exact branching coefficient, or POSITIVITY_UNKNOWN when out of reach.
+def _modify(mu: Partition, theta: int) -> Tuple[int, Partition]:
+    """King's rule [mu] = sign [label] for O(theta), sign 0 when [mu] = 0.
 
-    theta=2: every positive coefficient equals one, so the closed-form
-    predicate is the value.  theta=3: recurrence + cell-module reduction
-    (always applicable).  theta>=4: one-column rule and the cell identity
-    where they apply, otherwise, for small n, the value in the cached
-    enumerate_Pn(n, theta, oracle=True), so each size is extracted once.
+    While mu is not admissible, remove the boundary strip of length
+    h = 2 len(mu) - theta from the foot of the first column: in beta-numbers
+    beta_i = mu_i + len(mu) - 1 - i, h must be a beta and becomes 0.  A strip
+    over r rows gives the sign (-1)^(h-r) and one column_flip twist.
     """
-    if theta == 2:
-        # the predicate validates the pair
-        return 1 if is_positive_closed_form(pair, theta) else 0
-    _validate_pair(pair, theta)
-    value = _b_by_reduction(pair, theta)
-    if value is not None:
-        return value
-    from .spectra import dense_cap
-
-    n = pair.rho.size
-    if use_oracle and theta**n <= dense_cap():
-        return next((b for p, b in enumerate_Pn(n, theta, oracle=True) if p == pair), 0)
-    return POSITIVITY_UNKNOWN
+    sign, twist = 1, False
+    while not admissible_lambda(mu, theta):
+        p, h = len(mu), 2 * len(mu) - theta
+        beta = [m + p - 1 - i for i, m in enumerate(mu.parts)]
+        if h not in beta:
+            return 0, mu
+        sign, twist = sign * (-1) ** (h - 1 - sum(0 < x < h for x in beta)), not twist
+        mu = Partition([y - (p - 1 - i) for i, y in enumerate(x for x in beta if x != h)])
+    return sign, column_flip(mu, theta) if twist else mu
 
 
 @lru_cache(maxsize=None)
-def enumerate_Pn(n: int, theta: int, oracle: bool = False) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
+def _restriction(rho: Partition, theta: int) -> Counter:
+    """Multiplicity of each O(theta) label in the GL(theta) irreducible rho:
+    Littlewood's sum over mu of btilde(mu, rho) [mu], King's rule on each."""
+    out: Counter = Counter()
+    for parts in itertools.product(*(range(r + 1) for r in rho.parts)):
+        if any(a < b for a, b in zip(parts, parts[1:])) or (rho.size - sum(parts)) % 2:
+            continue
+        sign, label = _modify(mu := Partition(parts), theta)
+        if sign:
+            out[label] += sign * cell_branching(mu, rho)
+    return out
+
+
+def _b_by_modification(pair: LambdaRhoPair, theta: int) -> int:
+    """b by King's modification rule, exact at every theta."""
+    return _restriction(pair.rho, theta)[pair.lam]
+
+
+def b_coefficient(pair: LambdaRhoPair, theta: int) -> int:
+    """Exact branching coefficient at every theta.
+
+    theta=2: every positive coefficient equals one, so the closed-form
+    predicate is the value.  Otherwise the recurrence reduction, and King's
+    modification sum for the pairs it leaves undecided (theta >= 4 only).
+    """
+    if theta == 2:  # the predicate validates the pair
+        return 1 if is_positive_closed_form(pair, theta) else 0
+    _validate_pair(pair, theta)
+    value = _b_by_reduction(pair, theta)
+    if value is None:  # b is invariant under the reduction, which shrinks rho
+        value = _b_by_modification(reduce_by_recurrence(pair, theta), theta)
+    return value
+
+
+@lru_cache(maxsize=None)
+def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
     """All pairs with positive branching coefficient and their multiplicities."""
-    out = []
-    if oracle:
-        for pair, b in spectral_extract_branching(n, theta):
-            if b > 0:
-                out.append((pair, b))
-        return tuple(out)
-    for pair in enumerate_lambda_rho(n, theta):
-        b = b_coefficient(pair, theta, use_oracle=False)
-        if b is POSITIVITY_UNKNOWN:
-            raise ValueError(
-                f"exact mode cannot decide {pair!r} at theta={theta}; use oracle"
-            )
-        if b > 0:
-            out.append((pair, b))
-    return tuple(out)
+    lines = ((pair, b_coefficient(pair, theta)) for pair in enumerate_lambda_rho(n, theta))
+    return tuple((pair, b) for pair, b in lines if b > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +241,7 @@ def spectral_extract_branching(n: int, theta: int,
     candidates = enumerate_lambda_rho(n, theta)
     invariants = [line_invariants(p, theta) for p in candidates]
     weights = [dim_o(p.lam, theta) * dim_sn(p.rho) for p in candidates]
-    btilde = []
-    for p in candidates:
-        bt = cell_branching(p.lam, p.rho) if p.rho.contains(p.lam) else 0
-        btilde.append(bt)
+    btilde = [cell_branching(p.lam, p.rho) for p in candidates]
 
     groups: Dict[Tuple[int, int], List[int]] = {}
     for i, inv in enumerate(invariants):

@@ -34,19 +34,18 @@ ground-state checks.
 Character route
 ---------------
 z_decomposed sums over the positive lines (lambda, k, rho) of
-enumerate_Pn: the exact lines by default, the lines of the dense spectral
-extraction with oracle=True.  What does not depend on the couplings sits in
-one cached LineTable per (n, theta, oracle): the pairs with their exact b and
-d_Sn = dim_sn(rho), an index into the distinct lambda with d_O = dim_o(lambda)
-computed once per lambda, log(b d_Sn), and the line invariants c(rho) and
-c(lambda) + k(1 - theta) of partitions.line_invariants, which
-line_eigenvalue, the one copy of the line formula, turns into eigenvalues.
-A call evaluates one log-character per distinct lambda (log d_O at h = 0)
-and takes a numpy log-sum-exp over the lines.  spectral_lines and the command
-line's branching and schur-weyl output read the same table.  z_direct also
-sums its blocks in the log domain.  Both raise ValueError, stating log Z,
-when Z is not a positive finite double (exit 2 on the command line) rather
-than returning inf.
+enumerate_Pn, whose b is exact at every theta.  One cached LineTable per
+(n, theta) holds what does not depend on the couplings: the pairs with
+their b and d_Sn = dim_sn(rho), an index into the distinct lambda with
+d_O = dim_o(lambda), log(b d_Sn), and the line invariants of
+partitions.line_invariants, which line_eigenvalue, the one copy of the line
+formula, turns into eigenvalues.  A call evaluates one log-character per
+distinct lambda (log d_O at h = 0) and takes a numpy log-sum-exp over the
+lines.  spectral_lines and the command line's branching and schur-weyl
+output read the same table; their --oracle check builds it from the dense
+spectral extraction.  z_direct also sums its blocks in the log domain.
+Both raise ValueError, stating log Z, when Z is not a positive finite
+double (exit 2 on the command line) rather than returning inf.
 """
 
 from __future__ import annotations
@@ -368,9 +367,11 @@ class LineTable:
 
 @lru_cache(maxsize=32)
 def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
-    """The line table of enumerate_Pn(n, theta, oracle); d_O and d_Sn are
-    computed once per distinct lambda and rho."""
-    pn = branching.enumerate_Pn(n, theta, oracle=oracle)
+    """The line table of enumerate_Pn(n, theta), or with oracle=True of the
+    positive lines of the dense spectral extraction (small n only, a check);
+    d_O and d_Sn are computed once per distinct lambda and rho."""
+    pn = branching.enumerate_Pn(n, theta) if not oracle else [
+        (p, b) for p, b in branching.spectral_extract_branching(n, theta) if b > 0]
     lam_of: Dict[Partition, int] = {}
     d_sn_of: Dict[Partition, int] = {}
     for pair, _ in pn:
@@ -390,10 +391,9 @@ def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
     )
 
 
-def spectral_lines(n: int, theta: int, L1: float, L2: float,
-                   oracle: bool = False) -> List[SpectralLine]:
+def spectral_lines(n: int, theta: int, L1: float, L2: float) -> List[SpectralLine]:
     """One line per (lambda, k, rho) with positive branching coefficient."""
-    table = line_table(n, theta, oracle)
+    table = line_table(n, theta)
     energies = line_eigenvalue(table.c_rho, table.c_lam, L1, L2).tolist()
     return [
         SpectralLine(pair.lam, pair.k, pair.rho, e, d_o * b * d_sn)
@@ -435,14 +435,13 @@ def z_direct(spec: HamiltonianSpec) -> float:
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
                  direction: Optional[FieldDirection] = None,
-                 oracle: bool = False, flavor: str = "Q") -> float:
+                 flavor: str = "Q") -> float:
     """Character-sum partition function over the positive branching lines.
 
     Each line contributes chi_lam(exp(hW)) * b * dim_sn(rho) * exp(-E/n),
     with the character replaced by the plain dimension at h = 0; the sum
     runs in the log domain over line_table(n, theta), with one character
-    per distinct lambda; oracle=True reads the lines of the dense spectral
-    extraction (small n only) instead of the exact ones.  The lines are those of flavor Q, which is
+    per distinct lambda.  The lines are those of flavor Q, which is
     unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
     has no lines here.  Raises ValueError when Z or a character is not a
@@ -453,7 +452,7 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
         if theta != 2:
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
         log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
-    table = line_table(n, theta, oracle)
+    table = line_table(n, theta)
     if h == 0.0:
         log_chi = np.log(np.array(table.d_o, dtype=float))
     else:

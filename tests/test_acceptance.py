@@ -120,14 +120,14 @@ def test_criterion_04_branching_closed_forms():
                 b = oracle[(pair.lam.parts, pair.k, pair.rho.parts)]
                 assert (b > 0) == is_positive_closed_form(pair, theta), pair
                 if theta == 3:
-                    assert b == b_coefficient(pair, 3, use_oracle=False), pair
+                    assert b == b_coefficient(pair, 3), pair
                 else:
                     assert b == b_coefficient(pair, 2), pair
                 checked += 1
     for theta in (2, 3):
         for n in range(1, 13):
             for pair in enumerate_lambda_rho(n, theta):
-                b = b_coefficient(pair, theta, use_oracle=False)
+                b = b_coefficient(pair, theta)
                 assert (b > 0) == is_positive_closed_form(pair, theta), pair
     for n in (4, 5):
         for pair, b in spectral_extract_branching(n, 4):

@@ -1,8 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthospin import branching
 from orthospin.branching import (
-    POSITIVITY_UNKNOWN,
     b_coefficient,
     _b_by_reduction,
     enumerate_Pn,
@@ -10,11 +10,12 @@ from orthospin.branching import (
     reduce_by_recurrence,
     spectral_extract_branching,
 )
-from orthospin.group_chars import dim_o
+from orthospin.group_chars import dim_gl, dim_o
 from orthospin.partitions import (
     LambdaRhoPair,
     Partition,
     enumerate_lambda_rho,
+    enumerate_partitions,
 )
 from orthospin.tableaux import cell_branching, dim_sn
 
@@ -63,6 +64,27 @@ def test_each_candidate_validated_once(monkeypatch):
         branching.enumerate_Pn.__wrapped__(n, theta)
         candidates = enumerate_lambda_rho(n, theta)
         assert calls == candidates, (theta, n, len(calls), len(candidates))
+
+
+def test_modification_sum_never_runs_at_theta_2_3(monkeypatch):
+    # the closed form and the reduction decide every pair at theta = 2, 3
+    def unreachable(pair, theta):
+        raise AssertionError(f"King's sum reached for {pair!r} at theta={theta}")
+
+    monkeypatch.setattr(branching, "_b_by_modification", unreachable)
+    for theta in (2, 3):
+        for n in range(1, 13):
+            branching.enumerate_Pn.__wrapped__(n, theta)
+
+
+def test_enumerate_Pn_one_cache_entry_per_size():
+    from orthospin import spectra
+
+    enumerate_Pn.cache_clear()
+    spectra.line_table.cache_clear()
+    enumerate_Pn(30, 3)
+    spectra.line_table(30, 3)
+    assert enumerate_Pn.cache_info().misses == 1
 
 
 def test_positivity_closed_form_examples():
@@ -122,9 +144,7 @@ def test_b_equals_cell_when_rho_columns_small():
                 cols = transpose(pair.rho)
                 if cols[0] + cols[1] > theta + 1:
                     continue
-                b = b_coefficient(pair, theta, use_oracle=False)
-                if b is POSITIVITY_UNKNOWN:
-                    continue
+                b = b_coefficient(pair, theta)
                 assert b == cell_branching(pair.lam, pair.rho), pair
 
 
@@ -165,7 +185,7 @@ def test_spectral_extraction_matches_closed_forms():
                 for p, b in spectral_extract_branching(n, theta)
             }
             for pair in enumerate_lambda_rho(n, theta):
-                expect = b_coefficient(pair, theta, use_oracle=False)
+                expect = b_coefficient(pair, theta)
                 got = table[(pair.lam.parts, pair.k, pair.rho.parts)]
                 assert got == expect, (theta, n, pair)
                 assert (got > 0) == is_positive_closed_form(pair, theta)
@@ -180,10 +200,12 @@ def test_spectral_extraction_given_parameters():
                    ((1, 1), (2,)): 0, ((2,), (1, 1)): 0, ((), (1, 1)): 0}
 
 
-@pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5)])
-def test_reduction_matches_extraction_beyond_theta3(theta, nmax):
-    # the recurrence and the cell identity agree with the dense oracle on
-    # every pair they decide
+@pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5), (4, 7)])
+def test_reduction_matches_extraction_beyond_theta3(theta, nmax, monkeypatch):
+    # the reduction agrees with the dense oracle on every pair it decides,
+    # and b_coefficient (King's sum for the rest) on every pair
+    if nmax == 7:
+        monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "20000")
     for n in range(1, nmax + 1):
         decided = 0
         for pair, b in spectral_extract_branching(n, theta):
@@ -191,12 +213,34 @@ def test_reduction_matches_extraction_beyond_theta3(theta, nmax):
             if red is not None:
                 decided += 1
                 assert red == b, (theta, n, pair, red, b)
+            assert b_coefficient(pair, theta) == b, (theta, n, pair, b)
         assert decided > 0, (theta, n)
 
 
-def test_oracle_fallback_reads_the_oracle_line_table(monkeypatch):
-    # b_coefficient answers an undecided pair from enumerate_Pn(oracle=True),
-    # so the line table, the fallback and z_decomposed share one extraction
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(4, 16), (5, 12), (6, 10), (7, 9), (8, 8)]), st.data())
+def test_restriction_dimensions(size, data):
+    # sum over lambda of b d_O(lambda) is the GL(theta) dimension of rho
+    theta, nmax = size
+    n = data.draw(st.integers(1, nmax))
+    totals = {}
+    for pair, b in enumerate_Pn(n, theta):
+        totals[pair.rho] = totals.get(pair.rho, 0) + b * dim_o(pair.lam, theta)
+    for rho in enumerate_partitions(n, theta):
+        assert totals.get(rho, 0) == dim_gl(rho, theta), (theta, rho)
+
+
+@pytest.mark.parametrize("theta,n", [(2, 10), (3, 9), (4, 10), (5, 8), (6, 8)])
+def test_modification_sum_matches_reduction(theta, n):
+    # King's sum on the unreduced pair, no fast path in front, against
+    # b_coefficient past the dense cap
+    for pair in enumerate_lambda_rho(n, theta):
+        assert branching._b_by_modification(pair, theta) == b_coefficient(pair, theta), pair
+
+
+def test_undecided_pair_runs_no_extraction(monkeypatch):
+    # King's sum decides the pairs the reduction leaves open, with no dense
+    # spectral extraction, and the exact lines give the oracle's Z
     from orthospin import spectra
 
     calls = []
@@ -208,13 +252,12 @@ def test_oracle_fallback_reads_the_oracle_line_table(monkeypatch):
     monkeypatch.setattr(branching, "spectral_extract_branching", counting)
     branching.enumerate_Pn.cache_clear()
     spectra.line_table.cache_clear()
-    spectra.line_table(6, 4, oracle=True)
     pair = mk([6], 0, [2, 2, 2])
     assert _b_by_reduction(pair, 4) is None
     assert b_coefficient(pair, 4) == 0
-    z = spectra.z_decomposed(6, 4, 0.9, 0.6, oracle=True)
+    z = spectra.z_decomposed(6, 4, 0.9, 0.6)
     assert z == pytest.approx(14744.46169763795, rel=1e-12, abs=0.0)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_okada_rule_theta4():
@@ -251,10 +294,11 @@ def test_three_cycle_class_scalar():
     assert _omega3(Partition([1, 1, 1])) == 2.0
 
 
-def test_unknown_sentinel_beyond_caps():
+def test_exact_beyond_dense_caps():
     # theta=6, n=10: rho has tall first columns, lambda is not one-column,
-    # and 6^10 is far past the dense cap, so no exact route applies
+    # and 6^10 is far past the dense cap; King's sum decides the pair
     pair = mk([2, 2], 3, [2, 2, 2, 2, 2])
-    assert b_coefficient(pair, 6) is POSITIVITY_UNKNOWN
-    with pytest.raises(ValueError):
-        enumerate_Pn(10, 6)
+    assert _b_by_reduction(pair, 6) is None
+    assert b_coefficient(pair, 6) == 0
+    total = sum(dim_o(p.lam, 6) * b * dim_sn(p.rho) for p, b in enumerate_Pn(10, 6))
+    assert total == 6**10

@@ -26,6 +26,15 @@ def test_zexact_zchar_agree():
     assert abs(za - zb) / za < 1e-12
 
 
+def test_zchar_theta4_past_the_reduction():
+    # theta=4 n=6 has pairs only King's modification rule decides
+    args = ("--theta", "4", "--n", "6", "--p1", "0.9", "--p2", "0.6")
+    res = run("zchar", *args)
+    assert res.exit_code == 0
+    za = float(json.loads(run("zexact", *args).output)["Z"])
+    assert abs(float(json.loads(res.output)["Z"]) - za) / za < 1e-12
+
+
 def test_free_energy_at_spin1_criticality():
     res = run(
         "free-energy", "--theta", "3", "--param-mode", "J",
@@ -120,6 +129,9 @@ def test_branching_csv_deterministic():
     b = run("branching", "--theta", "3", "--n", "4")
     assert a.output == b.output
     assert a.output.splitlines()[0] == "lambda,k,rho,b,d_O,d_Sn,eigenvalue"
+    exact = run("branching", "--theta", "4", "--n", "6")
+    assert exact.exit_code == 0
+    assert exact.output == run("branching", "--theta", "4", "--n", "6", "--oracle").output
 
 
 def test_verify_oracle():
@@ -133,6 +145,8 @@ def test_verify_schur_weyl():
     res = run("verify", "schur-weyl", "--theta", "3", "--n", "6")
     assert res.exit_code == 0
     res = run("verify", "schur-weyl", "--theta", "4", "--n", "4", "--oracle")
+    assert res.exit_code == 0
+    res = run("verify", "schur-weyl", "--theta", "4", "--n", "8")  # past the dense cap
     assert res.exit_code == 0
 
 

@@ -268,12 +268,12 @@ def test_field_with_custom_direction():
 
 
 def test_oracle_mode_theta4_end_to_end():
-    # spectral lines from the extraction oracle reproduce the dense trace
-    for n in (2, 3, 4):
-        total = sum(l.multiplicity for l in spectral_lines(n, 4, 1.0, 1.0, oracle=True))
+    # the exact lines at theta=4 (King's sum from n=6) reproduce the dense trace
+    for n in (2, 3, 4, 5, 6):
+        total = sum(l.multiplicity for l in spectral_lines(n, 4, 1.0, 1.0))
         assert total == 4**n
         zd = z_direct(HamiltonianSpec(4, n, 0.9, 0.6))
-        zc = z_decomposed(n, 4, 0.9, 0.6, oracle=True)
+        zc = z_decomposed(n, 4, 0.9, 0.6)
         assert abs(zd - zc) / zd < 1e-11
 
 
@@ -380,10 +380,15 @@ def test_z_decomposed_flavor_p():
 
 def _z_by_lines(n, theta, L1, L2, h=0.0, oracle=False):
     """Z as a plain float sum over the lines, one term at a time: the
-    reference for the table's log-domain sum."""
+    reference for the table's log-domain sum.  oracle=True takes the lines
+    from the dense spectral extraction."""
     direction = FieldDirection.default(theta)
     total = 0.0
-    for pair, b in branching.enumerate_Pn(n, theta, oracle=oracle):
+    if oracle:
+        pairs = branching.spectral_extract_branching(n, theta)
+    else:
+        pairs = branching.enumerate_Pn(n, theta)
+    for pair, b in pairs:
         if h == 0.0:
             chi = float(dim_o(pair.lam, theta))
         else:
@@ -412,7 +417,7 @@ def test_table_sum_matches_line_loop(size, L1, L2, h):
 def test_oracle_table_sum_matches_line_loop(theta, n):
     for L1, L2, h in ((1.0, 0.5, 0.0), (-1.3, 1.7, 0.4)):
         ref = _z_by_lines(n, theta, L1, L2, h, oracle=True)
-        got = z_decomposed(n, theta, L1, L2, h=h, oracle=True)
+        got = z_decomposed(n, theta, L1, L2, h=h)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
