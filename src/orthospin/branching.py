@@ -1,14 +1,13 @@
 """Brauer-algebra / symmetric-group branching coefficients b^{n,theta}.
 
-One exact path decides a pair (lambda, k, rho) at every theta.
-reduce_by_recurrence strips the theta-th row of rho, flipping lambda when
-the stripped row length is odd (b = 0 if the defect turns negative).  On the
-reduced pair the one-column rule (lambda = (1^j): b = 1 exactly when rho has
-j odd parts) or the cell identity b = btilde (once the first two columns of
-rho sum to at most theta + 1) decides every pair at theta = 2, 3.  The rest
-(theta >= 4) take King's modification rule (R. C. King, J. Phys. A 8 (1975)
-429; K. Koike and I. Terada, J. Algebra 107 (1987) 466).  The dense spectral
-extraction is kept as a check; it places the lines by spectra.line_eigenvalue.
+By Brauer-Schur-Weyl duality b(lambda, k, rho) is the multiplicity of the
+O(theta) irreducible lambda in the GL(theta) irreducible rho.  One exact
+route gives it at every theta: the restriction of rho, once per partition,
+by Littlewood's sum with King's modification rule (R. C. King, J. Phys. A 8
+(1975) 429; K. Koike and I. Terada, J. Algebra 107 (1987) 466), on rho less
+its theta-th row (a column_flip of the labels when that row is odd).
+enumerate_Pn reads it per rho, b_coefficient per pair.  The dense spectral
+extraction is a check; it places the lines by spectra.line_eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .partitions import (
     admissible_lambda,
     column_flip,
     enumerate_lambda_rho,
-    first_two_columns,
+    enumerate_partitions,
     line_invariants,
 )
 from .tableaux import cell_branching, dim_sn
@@ -45,6 +44,12 @@ def _validate_pair(pair: LambdaRhoPair, theta: int) -> None:
         raise ValueError(f"{pair!r}: rho has more than theta={theta} rows")
 
 
+def _strip_row(rho: Partition, theta: int) -> Tuple[int, Partition]:
+    """(rho_theta, rho with rho_theta removed from every row)."""
+    rt = rho[theta - 1]
+    return rt, Partition(tuple(max(r - rt, 0) for r in rho.parts)) if rt else rho
+
+
 def reduce_by_recurrence(pair: LambdaRhoPair, theta: int) -> LambdaRhoPair:
     """Strip rho_theta from every row of rho; flip lambda if rho_theta is odd.
 
@@ -52,26 +57,14 @@ def reduce_by_recurrence(pair: LambdaRhoPair, theta: int) -> LambdaRhoPair:
     can have negative defect (lambda larger than rho), in which case the
     coefficient is zero.
     """
-    rt = pair.rho[theta - 1]
+    rt, new_rho = _strip_row(pair.rho, theta)
     if rt == 0:
         return pair
-    new_rho = Partition(tuple(max(r - rt, 0) for r in pair.rho.parts))
     lam = pair.lam if rt % 2 == 0 else column_flip(pair.lam, theta)
     diff = new_rho.size - lam.size
     if diff % 2 != 0:
         raise ArithmeticError("parity broken by recurrence reduction")
     return LambdaRhoPair(lam, diff // 2, new_rho)
-
-
-def _is_one_column(lam: Partition) -> Optional[int]:
-    """j if lam = (1^j) (including the empty partition as j=0), else None."""
-    if all(p == 1 for p in lam.parts):
-        return len(lam)
-    return None
-
-
-def _odd_parts(rho: Partition) -> int:
-    return sum(1 for p in rho.parts if p % 2 == 1)
 
 
 def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
@@ -94,9 +87,8 @@ def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
             return rho[0] % 2 == 1 and rho[1] % 2 == 1
         return lam[0] <= rho[0] - rho[1]
 
-    j = _is_one_column(lam)
-    if j is not None:
-        return _odd_parts(rho) == j
+    if all(p == 1 for p in lam.parts):
+        return sum(r % 2 for r in rho.parts) == len(lam)
     if lam[0] > rho[0] - rho[2]:
         return False
     if len(lam) == 1:
@@ -112,21 +104,6 @@ def is_positive_closed_form(pair: LambdaRhoPair, theta: int) -> bool:
             return False
         return True
     raise AssertionError(f"unexpected theta=3 label {lam!r}")
-
-
-def _b_by_reduction(pair: LambdaRhoPair, theta: int) -> Optional[int]:
-    """Recurrence + cell-module path; exact at theta=2,3, else None where
-    it cannot decide."""
-    reduced = reduce_by_recurrence(pair, theta)
-    if reduced.k < 0:
-        return 0
-    lam, rho = reduced.lam, reduced.rho
-    j = _is_one_column(lam)
-    if j is not None:
-        return 1 if _odd_parts(rho) == j else 0
-    if sum(first_two_columns(rho)) <= theta + 1:
-        return cell_branching(lam, rho)
-    return None
 
 
 def _modify(mu: Partition, theta: int) -> Tuple[int, Partition]:
@@ -151,7 +128,11 @@ def _modify(mu: Partition, theta: int) -> Tuple[int, Partition]:
 @lru_cache(maxsize=None)
 def _restriction(rho: Partition, theta: int) -> Counter:
     """Multiplicity of each O(theta) label in the GL(theta) irreducible rho:
-    Littlewood's sum over mu of btilde(mu, rho) [mu], King's rule on each."""
+    Littlewood's sum over mu of btilde(mu, rho) [mu], King's rule on each.
+    A one-row rho = (a), every stripped rho at theta = 2, is the sum of the
+    harmonic [m] over m <= a with m = a (mod 2)."""
+    if len(rho) == 1:
+        return Counter({Partition((m,)): 1 for m in range(rho[0] % 2, rho[0] + 1, 2)})
     out: Counter = Counter()
     for parts in itertools.product(*(range(r + 1) for r in rho.parts)):
         if any(a < b for a, b in zip(parts, parts[1:])) or (rho.size - sum(parts)) % 2:
@@ -162,32 +143,30 @@ def _restriction(rho: Partition, theta: int) -> Counter:
     return out
 
 
-def _b_by_modification(pair: LambdaRhoPair, theta: int) -> int:
-    """b by King's modification rule, exact at every theta."""
-    return _restriction(pair.rho, theta)[pair.lam]
-
-
 def b_coefficient(pair: LambdaRhoPair, theta: int) -> int:
-    """Exact branching coefficient at every theta.
-
-    theta=2: every positive coefficient equals one, so the closed-form
-    predicate is the value.  Otherwise the recurrence reduction, and King's
-    modification sum for the pairs it leaves undecided (theta >= 4 only).
-    """
-    if theta == 2:  # the predicate validates the pair
-        return 1 if is_positive_closed_form(pair, theta) else 0
+    """Exact branching coefficient at every theta: the multiplicity of the
+    reduced lambda in the restriction of the reduced rho (0 when the reduced
+    defect is negative, since lambda is then absent)."""
     _validate_pair(pair, theta)
-    value = _b_by_reduction(pair, theta)
-    if value is None:  # b is invariant under the reduction, which shrinks rho
-        value = _b_by_modification(reduce_by_recurrence(pair, theta), theta)
-    return value
+    reduced = reduce_by_recurrence(pair, theta)
+    return _restriction(reduced.rho, theta)[reduced.lam]
 
 
 @lru_cache(maxsize=None)
 def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
-    """All pairs with positive branching coefficient and their multiplicities."""
-    lines = ((pair, b_coefficient(pair, theta)) for pair in enumerate_lambda_rho(n, theta))
-    return tuple((pair, b) for pair, b in lines if b > 0)
+    """All pairs with positive branching coefficient and their multiplicities,
+    in the order of enumerate_lambda_rho: one restriction per rho, read on
+    the stripped rho and flipped back when rho_theta is odd."""
+    if n < 1 or theta < 2:
+        raise ValueError("need n >= 1 and theta >= 2")
+    out: List[Tuple[LambdaRhoPair, int]] = []
+    for rho in enumerate_partitions(n, theta):
+        rt, stripped = _strip_row(rho, theta)
+        labels = sorted(((column_flip(lam, theta) if rt % 2 else lam, b)
+                         for lam, b in _restriction(stripped, theta).items() if b > 0),
+                        key=lambda lb: (lb[0].size, lb[0].parts), reverse=True)
+        out += [(LambdaRhoPair(lam, (n - lam.size) // 2, rho), b) for lam, b in labels]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import List, Optional
 import click
 import numpy as np
 
-from . import appendix, spectra
+from . import appendix, branching, spectra
 from .free_energy import (
     NotProvenError,
     classify_phase,
@@ -131,6 +131,15 @@ def spectrum(theta, n, p1, p2, out):
     _write_csv(out, ["lambda", "k", "rho", "eigenvalue", "multiplicity"], rows)
 
 
+def _line_table(n: int, theta: int, oracle: bool) -> spectra.LineTable:
+    """The cached line table, or with --oracle one built from the positive
+    lines of the dense spectral extraction (small n only, a check)."""
+    if not oracle:
+        return spectra.line_table(n, theta)
+    return spectra.build_line_table(
+        [(p, b) for p, b in branching.spectral_extract_branching(n, theta) if b > 0], theta)
+
+
 @main.command("branching")
 @click.option("--theta", type=int, required=True)
 @click.option("--n", type=int, required=True)
@@ -140,7 +149,7 @@ def spectrum(theta, n, p1, p2, out):
 @click.option("--out", type=str, default=None)
 def branching_cmd(theta, n, oracle, p1, p2, out):
     """CSV of branching data: lambda, k, rho, b, d_O, d_Sn, eigenvalue."""
-    table = spectra.line_table(n, theta, oracle)
+    table = _line_table(n, theta, oracle)
     energies = spectra.line_eigenvalue(table.c_rho, table.c_lam, p1, p2).tolist()
     rows = [
         [format_partition(pair.lam), str(pair.k), format_partition(pair.rho),
@@ -322,7 +331,7 @@ def verify() -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--oracle", is_flag=True, default=False)
 def verify_schur_weyl(theta, n, oracle):
-    total = sum(d_o * b * d_sn for _, b, d_o, d_sn in spectra.line_table(n, theta, oracle).rows())
+    total = sum(d_o * b * d_sn for _, b, d_o, d_sn in _line_table(n, theta, oracle).rows())
     ok = total == theta**n
     _echo_json(
         {"command": "verify schur-weyl", "theta": theta, "n": n,

@@ -118,14 +118,15 @@ def column_flip(p: Partition, theta: int) -> Partition:
 
     Requires t1 + t2 <= theta so the result is a partition.  The map is
     an involution and implements the determinant twist on orthogonal
-    highest weights.
+    highest weights.  Read on rows: the t2 rows longer than one stay, and
+    theta - t1 - t2 rows of length one follow them.
     """
     t1, t2 = first_two_columns(p)
     if t1 + t2 > theta:
         raise ValueError(
             f"column_flip undefined: first two columns {t1}+{t2} exceed theta={theta}"
         )
-    return transpose(Partition((theta - t1,) + transpose(p).parts[1:]))
+    return _trusted(p.parts[:t2] + (1,) * (theta - t1 - t2))
 
 
 def partition_tuples(n: int, max_parts: int) -> Iterator[Tuple[int, ...]]:

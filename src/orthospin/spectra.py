@@ -42,10 +42,11 @@ partitions.line_invariants, which line_eigenvalue, the one copy of the line
 formula, turns into eigenvalues.  A call evaluates one log-character per
 distinct lambda (log d_O at h = 0) and takes a numpy log-sum-exp over the
 lines.  spectral_lines and the command line's branching and schur-weyl
-output read the same table; their --oracle check builds it from the dense
-spectral extraction.  z_direct also sums its blocks in the log domain.
-Both raise ValueError, stating log Z, when Z is not a positive finite
-double (exit 2 on the command line) rather than returning inf.
+output read the same table; their --oracle check passes the positive
+lines of the dense spectral extraction to the same builder, uncached.
+z_direct also sums its blocks in the log domain.  Both raise ValueError,
+stating log Z, when Z is not a positive finite double (exit 2 on the
+command line) rather than returning inf.
 """
 
 from __future__ import annotations
@@ -365,13 +366,9 @@ class LineTable:
         return zip(self.pairs, self.b, d_o, self.d_sn)
 
 
-@lru_cache(maxsize=32)
-def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
-    """The line table of enumerate_Pn(n, theta), or with oracle=True of the
-    positive lines of the dense spectral extraction (small n only, a check);
-    d_O and d_Sn are computed once per distinct lambda and rho."""
-    pn = branching.enumerate_Pn(n, theta) if not oracle else [
-        (p, b) for p, b in branching.spectral_extract_branching(n, theta) if b > 0]
+def build_line_table(pn: Sequence[Tuple[LambdaRhoPair, int]], theta: int) -> LineTable:
+    """The line table of the positive lines pn, in their order; d_O and
+    d_Sn are computed once per distinct lambda and rho."""
     lam_of: Dict[Partition, int] = {}
     d_sn_of: Dict[Partition, int] = {}
     for pair, _ in pn:
@@ -389,6 +386,12 @@ def line_table(n: int, theta: int, oracle: bool = False) -> LineTable:
         log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
         c_rho=c_rho, c_lam=c_lam,
     )
+
+
+@lru_cache(maxsize=32)
+def line_table(n: int, theta: int) -> LineTable:
+    """The line table of enumerate_Pn(n, theta), built once per size."""
+    return build_line_table(branching.enumerate_Pn(n, theta), theta)
 
 
 def spectral_lines(n: int, theta: int, L1: float, L2: float) -> List[SpectralLine]:

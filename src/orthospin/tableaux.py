@@ -102,6 +102,9 @@ def cell_branching(lam: Partition, rho: Partition) -> int:
 
     Depends only on the skew diagram rho/lam; independent of the Brauer
     parameter.  Returns 0 when |rho| < |lam| (lam cannot fit inside rho).
+    A one-column lam = (1^j) gives 1 exactly when rho has j odd rows: by
+    Pieri, rho/pi is then a vertical strip, and the only even pi it leaves
+    rounds every row of rho down to even.
     """
     m = rho.size - lam.size
     if m < 0:
@@ -110,6 +113,8 @@ def cell_branching(lam: Partition, rho: Partition) -> int:
         raise ValueError(
             f"|rho| - |lam| must be even, got {rho.size} - {lam.size}"
         )
+    if all(p == 1 for p in lam.parts):
+        return int(sum(r % 2 for r in rho.parts) == len(lam))
     if not rho.contains(lam):
         return 0
     total = 0

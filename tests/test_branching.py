@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from orthospin import branching
 from orthospin.branching import (
     b_coefficient,
-    _b_by_reduction,
     enumerate_Pn,
     is_positive_closed_form,
     reduce_by_recurrence,
@@ -54,27 +53,25 @@ def test_b_examples():
             b_coefficient(mk([3], -1, [1]), theta)
 
 
-def test_each_candidate_validated_once(monkeypatch):
-    calls = []
-    validate = branching._validate_pair
-    monkeypatch.setattr(branching, "_validate_pair",
-                        lambda pair, theta: calls.append(pair) or validate(pair, theta))
-    for theta, n in ((2, 12), (3, 7)):
-        calls.clear()
+def test_enumerate_Pn_sweeps_no_candidates(monkeypatch):
+    # one restriction per rho: neither the candidate sweep nor the per-pair
+    # lookup runs
+    def unreachable(*args):
+        raise AssertionError(f"per-candidate route reached with {args!r}")
+
+    monkeypatch.setattr(branching, "enumerate_lambda_rho", unreachable)
+    monkeypatch.setattr(branching, "b_coefficient", unreachable)
+    for theta, n in ((2, 12), (3, 7), (4, 6)):
         branching.enumerate_Pn.__wrapped__(n, theta)
-        candidates = enumerate_lambda_rho(n, theta)
-        assert calls == candidates, (theta, n, len(calls), len(candidates))
 
 
-def test_modification_sum_never_runs_at_theta_2_3(monkeypatch):
-    # the closed form and the reduction decide every pair at theta = 2, 3
-    def unreachable(pair, theta):
-        raise AssertionError(f"King's sum reached for {pair!r} at theta={theta}")
-
-    monkeypatch.setattr(branching, "_b_by_modification", unreachable)
-    for theta in (2, 3):
-        for n in range(1, 13):
-            branching.enumerate_Pn.__wrapped__(n, theta)
+@pytest.mark.parametrize("theta,nmax", [(2, 16), (3, 12), (4, 9), (5, 7), (6, 6)])
+def test_enumerate_Pn_equals_candidate_sweep(theta, nmax):
+    # order included: the CLI CSV lists the lines in this order
+    for n in range(1, nmax + 1):
+        sweep = tuple((p, b) for p in enumerate_lambda_rho(n, theta)
+                      if (b := b_coefficient(p, theta)) > 0)
+        assert enumerate_Pn.__wrapped__(n, theta) == sweep, (theta, n)
 
 
 def test_enumerate_Pn_one_cache_entry_per_size():
@@ -85,6 +82,20 @@ def test_enumerate_Pn_one_cache_entry_per_size():
     enumerate_Pn(30, 3)
     spectra.line_table(30, 3)
     assert enumerate_Pn.cache_info().misses == 1
+
+
+def test_line_table_one_cache_entry_per_size():
+    from click.testing import CliRunner
+
+    from orthospin import spectra
+    from orthospin.cli import main
+
+    spectra.line_table.cache_clear()
+    spectra.z_decomposed(20, 3, 0.9, 0.6)
+    spectra.spectral_lines(20, 3, 0.9, 0.6)
+    res = CliRunner().invoke(main, ["branching", "--theta", "3", "--n", "20"])
+    assert res.exit_code == 0
+    assert spectra.line_table.cache_info().misses == 1
 
 
 def test_positivity_closed_form_examples():
@@ -114,8 +125,6 @@ def test_theta2_values_are_indicators():
             b = b_coefficient(pair, 2)
             assert b in (0, 1)
             assert (b == 1) == is_positive_closed_form(pair, 2)
-            red = _b_by_reduction(pair, 2)
-            assert red == b, (pair, red, b)
 
 
 def test_theta3_positivity_matches_reduction_values():
@@ -201,20 +210,13 @@ def test_spectral_extraction_given_parameters():
 
 
 @pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5), (4, 7)])
-def test_reduction_matches_extraction_beyond_theta3(theta, nmax, monkeypatch):
-    # the reduction agrees with the dense oracle on every pair it decides,
-    # and b_coefficient (King's sum for the rest) on every pair
+def test_b_matches_extraction_beyond_theta3(theta, nmax, monkeypatch):
+    # the restriction agrees with the dense oracle on every pair
     if nmax == 7:
         monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "20000")
     for n in range(1, nmax + 1):
-        decided = 0
         for pair, b in spectral_extract_branching(n, theta):
-            red = _b_by_reduction(pair, theta)
-            if red is not None:
-                decided += 1
-                assert red == b, (theta, n, pair, red, b)
             assert b_coefficient(pair, theta) == b, (theta, n, pair, b)
-        assert decided > 0, (theta, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -232,15 +234,16 @@ def test_restriction_dimensions(size, data):
 
 @pytest.mark.parametrize("theta,n", [(2, 10), (3, 9), (4, 10), (5, 8), (6, 8)])
 def test_modification_sum_matches_reduction(theta, n):
-    # King's sum on the unreduced pair, no fast path in front, against
-    # b_coefficient past the dense cap
+    # the restriction of the unreduced rho (King's sum at theta = 2 too,
+    # where rho has two rows) against b_coefficient past the dense cap
     for pair in enumerate_lambda_rho(n, theta):
-        assert branching._b_by_modification(pair, theta) == b_coefficient(pair, theta), pair
+        assert branching._restriction(pair.rho, theta)[pair.lam] == b_coefficient(pair, theta), pair
 
 
 def test_undecided_pair_runs_no_extraction(monkeypatch):
-    # King's sum decides the pairs the reduction leaves open, with no dense
-    # spectral extraction, and the exact lines give the oracle's Z
+    # King's sum decides a pair the one-column rule and the cell identity
+    # cannot, with no dense spectral extraction, and the exact lines give
+    # the oracle's Z
     from orthospin import spectra
 
     calls = []
@@ -253,7 +256,6 @@ def test_undecided_pair_runs_no_extraction(monkeypatch):
     branching.enumerate_Pn.cache_clear()
     spectra.line_table.cache_clear()
     pair = mk([6], 0, [2, 2, 2])
-    assert _b_by_reduction(pair, 4) is None
     assert b_coefficient(pair, 4) == 0
     z = spectra.z_decomposed(6, 4, 0.9, 0.6)
     assert z == pytest.approx(14744.46169763795, rel=1e-12, abs=0.0)
@@ -298,7 +300,6 @@ def test_exact_beyond_dense_caps():
     # theta=6, n=10: rho has tall first columns, lambda is not one-column,
     # and 6^10 is far past the dense cap; King's sum decides the pair
     pair = mk([2, 2], 3, [2, 2, 2, 2, 2])
-    assert _b_by_reduction(pair, 6) is None
     assert b_coefficient(pair, 6) == 0
     total = sum(dim_o(p.lam, 6) * b * dim_sn(p.rho) for p, b in enumerate_Pn(10, 6))
     assert total == 6**10

@@ -159,6 +159,9 @@ def test_column_flip_involution(p, theta):
     if not admissible_lambda(p, theta):
         return
     assert column_flip(column_flip(p, theta), theta) == p
+    # the definition on columns: first column t1 -> theta - t1
+    assert column_flip(p, theta) == transpose(
+        Partition((theta - len(p),) + transpose(p).parts[1:]))
 
 
 def test_even_partitions():

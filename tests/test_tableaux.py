@@ -134,6 +134,19 @@ def test_cell_branching_zero_and_errors():
         cell_branching(Partition([1]), Partition([2, 2]))
 
 
+def test_cell_branching_one_column_against_lr_sum():
+    # the Pieri shortcut for lam = (1^j) against the sum over even pi
+    from orthospin.partitions import enumerate_even_partitions
+
+    for n in range(15):
+        for rho in enumerate_partitions(n, n):
+            for j in range(n % 2, min(n, len(rho)) + 1, 2):
+                lam = Partition([1] * j)
+                direct = sum(lr_coefficient(lam, pi, rho)
+                             for pi in enumerate_even_partitions(n - j, len(rho)))
+                assert cell_branching(lam, rho) == direct, (j, rho)
+
+
 def _normalized_skew(lam, rho):
     cells = [
         (r, c) for r in range(len(rho)) for c in range(lam[r], rho[r])
