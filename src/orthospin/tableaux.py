@@ -4,8 +4,10 @@ partitions.
 
 Everything here is exact integer arithmetic.  The LR coefficient is computed
 by direct enumeration of column-strict skew fillings with the lattice-word
-check, which is fast at the sizes this package needs (diagrams up to ~20
-boxes) and simple enough to trust.
+check, which is simple enough to trust but slows quickly past ~20 boxes.
+cell_branching needs no LR tableaux for a one-column lam (Pieri) or a rho of
+at most two rows (the GL(2) Clebsch-Gordan rule), which covers every
+restriction at theta = 2, 3.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ def cell_branching(lam: Partition, rho: Partition) -> int:
     parameter.  Returns 0 when |rho| < |lam| (lam cannot fit inside rho).
     A one-column lam = (1^j) gives 1 exactly when rho has j odd rows: by
     Pieri, rho/pi is then a vertical strip, and the only even pi it leaves
-    rounds every row of rho down to even.
+    rounds every row of rho down to even.  When rho has at most two rows, so
+    do lam and pi, and the GL(2) Clebsch-Gordan rule gives c_{lam,pi}^{rho}
+    = [|a - b| <= d <= a + b] for the row differences a, b, d of lam, pi,
+    rho; the even pi = (2p, 2q) of size m have b = m, m - 4, ... >= 0.
     """
     m = rho.size - lam.size
     if m < 0:
@@ -117,6 +122,9 @@ def cell_branching(lam: Partition, rho: Partition) -> int:
         return int(sum(r % 2 for r in rho.parts) == len(lam))
     if not rho.contains(lam):
         return 0
+    if len(rho) <= 2:
+        a, d = lam[0] - lam[1], rho[0] - rho[1]
+        return sum(abs(a - d) <= b <= a + d for b in range(m % 4, m + 1, 4))
     total = 0
     for pi in enumerate_even_partitions(m, len(rho)):
         total += lr_coefficient(lam, pi, rho)

@@ -65,6 +65,20 @@ def test_enumerate_Pn_sweeps_no_candidates(monkeypatch):
         branching.enumerate_Pn.__wrapped__(n, theta)
 
 
+def test_enumerate_Pn_theta3_needs_no_lr_tableaux(monkeypatch):
+    # every stripped rho at theta=3 has at most two rows, so the restriction
+    # is decided by the Pieri and Clebsch-Gordan rules of cell_branching
+    from orthospin import tableaux
+
+    def unreachable(*args):
+        raise AssertionError(f"LR coefficient reached with {args!r}")
+
+    monkeypatch.setattr(tableaux, "lr_coefficient", unreachable)
+    monkeypatch.setattr(branching, "_restriction", branching._restriction.__wrapped__)
+    for n in range(1, 31):
+        enumerate_Pn.__wrapped__(n, 3)
+
+
 @pytest.mark.parametrize("theta,nmax", [(2, 16), (3, 12), (4, 9), (5, 7), (6, 6)])
 def test_enumerate_Pn_equals_candidate_sweep(theta, nmax):
     # order included: the CLI CSV lists the lines in this order
@@ -128,10 +142,15 @@ def test_theta2_values_are_indicators():
 
 
 def test_theta3_positivity_matches_reduction_values():
-    for n in range(1, 13):
+    # to n = 40: every theta=3 restriction is two-row, so it builds no LR
+    # tableaux
+    for n in range(1, 41):
+        lines = dict(enumerate_Pn(n, 3))
         for pair in enumerate_lambda_rho(n, 3):
             b = b_coefficient(pair, 3)
+            assert lines.get(pair, 0) == b, pair
             assert (b > 0) == is_positive_closed_form(pair, 3), pair
+        assert sum(dim_o(p.lam, 3) * b * dim_sn(p.rho) for p, b in lines.items()) == 3 ** n
 
 
 def test_b_at_most_cell_branching():

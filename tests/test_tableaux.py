@@ -147,6 +147,20 @@ def test_cell_branching_one_column_against_lr_sum():
                 assert cell_branching(lam, rho) == direct, (j, rho)
 
 
+def test_cell_branching_two_rows_against_lr_sum():
+    # the Clebsch-Gordan shortcut for two-row rho against the sum over even
+    # pi, lam not inside rho included
+    from orthospin.partitions import enumerate_even_partitions
+
+    for n in range(25):
+        for rho in enumerate_partitions(n, 2):
+            for m in range(n % 2, n + 1, 2):
+                for lam in enumerate_partitions(m, 2):
+                    direct = sum(lr_coefficient(lam, pi, rho)
+                                 for pi in enumerate_even_partitions(n - m, 2))
+                    assert cell_branching(lam, rho) == direct, (lam, rho)
+
+
 def _normalized_skew(lam, rho):
     cells = [
         (r, c) for r in range(len(rho)) for c in range(lam[r], rho[r])
