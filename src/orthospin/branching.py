@@ -27,6 +27,7 @@ from .partitions import (
     enumerate_lambda_rho,
     enumerate_partitions,
     line_invariants,
+    partitions_inside,
 )
 from .tableaux import cell_branching, dim_sn
 
@@ -134,10 +135,8 @@ def _restriction(rho: Partition, theta: int) -> Counter:
     if len(rho) == 1:
         return Counter({Partition((m,)): 1 for m in range(rho[0] % 2, rho[0] + 1, 2)})
     out: Counter = Counter()
-    for parts in itertools.product(*(range(r + 1) for r in rho.parts)):
-        if any(a < b for a, b in zip(parts, parts[1:])) or (rho.size - sum(parts)) % 2:
-            continue
-        sign, label = _modify(mu := Partition(parts), theta)
+    for mu in partitions_inside(rho, rho.size % 2):
+        sign, label = _modify(mu, theta)
         if sign:
             out[label] += sign * cell_branching(mu, rho)
     return out
@@ -173,9 +172,11 @@ def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
 # spectral extraction oracle
 
 def _three_cycle_blocks(theta: int, n: int, keyed: bool = True):
-    """Sum of all 3-cycles acting by place permutation, one block per charge
-    sector (a single block in the standard basis when not keyed)."""
-    from .spectra import sector_basis
+    """Sum of all 3-cycles acting by place permutation: the charge-sector
+    blocks reduced by the global flip, in the order of
+    spectra.sector_pair_ops (a single block in the standard basis when not
+    keyed)."""
+    from .spectra import flip_reduce, sector_basis
 
     cycles = []
     for x, y, z in itertools.combinations(range(n), 3):
@@ -183,7 +184,9 @@ def _three_cycle_blocks(theta: int, n: int, keyed: bool = True):
             sigma = list(range(n))
             sigma[x], sigma[y], sigma[z] = cyc
             cycles.append(sigma)
-    return sector_basis(theta, n, keyed).permutation_sum(cycles)
+    basis = sector_basis(theta, n, keyed)
+    blocks = basis.permutation_sum(cycles)
+    return flip_reduce(basis, blocks)[1] if keyed else blocks
 
 
 def _omega3(rho: Partition) -> float:
@@ -208,7 +211,11 @@ def spectral_extract_branching(n: int, theta: int,
     k(1-theta)) collide at every parameter choice; those groups are resolved
     by combining the measured eigenspace dimension, the cell-module upper
     bound b <= btilde, and the restriction of the 3-cycle class sum to the
-    eigenspace.  Raises UnresolvedExtractionError when that still leaves
+    eigenspace.  The spectrum is read off the flip-reduced blocks of
+    spectra.sector_pair_ops: each block's eigenvalues count once per charge
+    it stands for (twice for a +-q pair, once for a half of q = 0), and the
+    3-cycle moment sums over the same blocks of _three_cycle_blocks with the
+    same weights.  Raises UnresolvedExtractionError when that still leaves
     more than one integer solution, or when _MAX_RESAMPLES draws of the
     couplings leave two groups' lines closer than 1e-3 max(1, n).
     """
@@ -239,8 +246,10 @@ def spectral_extract_branching(n: int, theta: int,
     else:
         raise UnresolvedExtractionError("could not separate invariant groups")
 
-    # H0 is block-diagonal by charge; so is every place permutation
-    _, blocks_t, blocks_b = spectra.sector_pair_ops(theta, n, "Q")
+    # H0 is block-diagonal by charge and commutes with the global flip; so
+    # does every place permutation.  A reduced block counts len(charges) times.
+    charges, blocks_t, blocks_b = spectra.sector_pair_ops(theta, n, "Q")
+    copies = [len(q) for q in charges]
     solved = [np.linalg.eigh(-(l1 * t + l2 * b)) for t, b in zip(blocks_t, blocks_b)]
     evals = np.concatenate([e for e, _ in solved])
     offsets = np.cumsum([0] + [len(e) for e, _ in solved])
@@ -249,7 +258,8 @@ def spectral_extract_branching(n: int, theta: int,
     assign = np.argmin(np.abs(evals[:, None] - values[None, :]), axis=1)
     if np.max(np.abs(evals - values[assign])) > match_tol:
         raise UnresolvedExtractionError("dense eigenvalue outside every predicted line")
-    dims = np.bincount(assign, minlength=len(group_keys))
+    dims = np.bincount(assign, np.repeat(copies, np.diff(offsets)),
+                       minlength=len(group_keys)).astype(int)
 
     c3 = None
     result: Dict[int, int] = {}
@@ -286,7 +296,7 @@ def spectral_extract_branching(n: int, theta: int,
             moment = 0.0
             for k, (_, evecs) in enumerate(solved):
                 block = evecs[:, assign[offsets[k]:offsets[k + 1]] == gi]
-                moment += float(np.sum(block * (c3[k] @ block)))
+                moment += copies[k] * float(np.sum(block * (c3[k] @ block)))
             omegas = [_omega3(candidates[i].rho) for i in live]
             sols = [
                 combo

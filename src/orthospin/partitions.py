@@ -156,6 +156,20 @@ def enumerate_partitions(n: int, max_parts: int) -> List[Partition]:
     return [_trusted(parts) for parts in partition_tuples(n, max_parts)]
 
 
+def partitions_inside(rho: Partition, parity: int) -> Iterator[Partition]:
+    """Every partition mu inside rho (mu_i <= rho_i) with |mu| = parity
+    (mod 2), rows chosen top down."""
+
+    def rec(i: int, cap: int, size: int, prefix: Tuple[int, ...]):
+        if size % 2 == parity:
+            yield _trusted(prefix)
+        if i < len(rho.parts):
+            for part in range(min(cap, rho.parts[i]), 0, -1):
+                yield from rec(i + 1, part, size + part, prefix + (part,))
+
+    return rec(0, rho[0], 0, ())
+
+
 def enumerate_even_partitions(m: int, max_parts: int) -> List[Partition]:
     """All partitions of m with every part even and at most max_parts parts."""
     if m % 2 != 0:

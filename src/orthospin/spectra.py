@@ -24,12 +24,15 @@ q_i = #i - #(theta-1-i), i < theta//2: place permutations keep the digit
 counts, and a bar trades one charge-free pair (i, theta-1-i) for another.
 A field matrix W that preserves the flavor's pair form (W^T J + J W = 0)
 acts on the sector of charges q as the scalar sum_k y_k q_k, with +-y_k the
-torus weights of W.  z_direct therefore diagonalizes small real blocks once
-per coupling and weights each block by exp(h sum_k y_k q_k); a W that
-breaks the form is rejected.  The blocks come from index arithmetic on the
-base-theta digits of the basis states, and the same assembler gives the
-standard-basis operators (one sector) used by build_hamiltonian and the
-ground-state checks.
+torus weights of W; a W that breaks the form is rejected.  The global flip
+F (digit i -> theta-1-i on every site) lies in O(theta), so it commutes
+with sum T and sum B and maps sector q onto -q: flip_reduce keeps one block
+per +-q pair and splits q = 0 into its F-even and F-odd halves.  z_direct
+therefore diagonalizes each reduced block once per coupling and weights it
+by the sum of exp(h sum_k y_k q_k) over the charges it stands for.  The
+blocks come from index arithmetic on the base-theta digits of the basis
+states, and the same assembler gives the standard-basis operators (one
+sector) used by build_hamiltonian and the ground-state checks.
 
 Character route
 ---------------
@@ -104,6 +107,13 @@ def validate_w(w: np.ndarray) -> None:
         raise ValueError("W must be Hermitian so the Hamiltonian is Hermitian")
 
 
+def require_finite(**values: float) -> None:
+    """ValueError naming the first coupling that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class HamiltonianSpec:
     theta: int
@@ -119,9 +129,7 @@ class HamiltonianSpec:
             raise ValueError("need n >= 1 and theta >= 2")
         if self.flavor not in ("Q", "P"):
             raise ValueError(f"unknown flavor {self.flavor}")
-        for name in ("L1", "L2", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        require_finite(L1=self.L1, L2=self.L2, h=self.h)
         if self.field_matrix is None:
             self.field_matrix = default_w(self.theta)
         validate_w(self.field_matrix)
@@ -139,7 +147,9 @@ class SpectralLine:
 def line_eigenvalue(c_rho, c_lam, L1: float, L2: float):
     """-((L1+L2) c(rho) - L2 (c(lambda) + k(1-theta))), the eigenvalue of H on
     the line (lambda, k, rho), from its invariants (c_rho, c_lam) as given by
-    partitions.line_invariants; scalars or numpy arrays."""
+    partitions.line_invariants; scalars or numpy arrays.  The couplings
+    must be finite."""
+    require_finite(L1=L1, L2=L2)
     return -((L1 + L2) * c_rho - L2 * c_lam)
 
 
@@ -242,21 +252,60 @@ def sum_pair_ops(theta: int, n: int, flavor: str) -> Tuple[np.ndarray, np.ndarra
     return sum_t, sum_b
 
 
+def flip_reduce(basis: SectorBasis,
+                blocks: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """(charges, blocks) of an operator that commutes with the global flip F.
+
+    F sends every digit i to theta-1-i, i.e. state s to theta^n - 1 - s, and
+    sector q onto -q; np.unique sorts the charges so that sector k and
+    S-1-k are partners and the reversal l -> m-1-l is F inside each.  A pair
+    keeps the block of its first sector, with charges [q, -q].  The neutral
+    sector, present when S is odd, splits into its F-even and F-odd halves on
+    the pairs (l, m-1-l), each with charges [0]; at odd theta its middle
+    state (every digit theta//2) is F-fixed and joins the even half, its
+    cross terms scaled by sqrt 2.  Empty halves are dropped.  A reduced
+    block stands for len(charges) copies of its spectrum.
+    """
+    half = len(blocks) // 2
+    charges = [basis.charges[[k, len(blocks) - 1 - k]] for k in range(half)]
+    reduced = [np.array(block) for block in blocks[:half]]
+    if len(blocks) % 2:
+        zero = blocks[half]
+        h = len(zero) // 2
+        a, b = zero[:h, :h], zero[:h, ::-1][:, :h]  # b[i, j] = zero[i, m-1-j]
+        even, odd = a + b, a - b
+        if len(zero) % 2:
+            root2 = math.sqrt(2.0)
+            even = np.block([[even, root2 * zero[:h, h:h + 1]],
+                             [root2 * zero[h:h + 1, :h], zero[h:h + 1, h:h + 1]]])
+        for part in (even, odd):
+            if part.size:
+                charges.append(basis.charges[[half]])
+                reduced.append(part)
+    for block in reduced:
+        block.setflags(write=False)  # the blocks are cached and shared
+    return charges, reduced
+
+
 @lru_cache(maxsize=32)
 def sector_pair_ops(theta: int, n: int,
-                    flavor: str) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """(charges, blocks of sum T, blocks of sum B) in the torus basis.
+                    flavor: str) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+    """(charges, blocks of sum T, blocks of sum B) in the torus basis,
+    reduced by the global flip (flip_reduce).
 
     A unitary change of one-site basis takes the flavor's pair vector to
-    sum_i s_i |i, theta-1-i>, with s_i = 1 for Q and for P at odd theta (both
-    forms are symmetric) and s_i = (-1)^i for P at even theta (a symplectic
-    form); the spectrum of every block is basis independent.
+    u = sum_i s_i |i, theta-1-i>, with s_i = 1 for Q and for P at odd theta
+    (both forms are symmetric) and s_i = (-1)^i for P at even theta (a
+    symplectic form); the spectrum of every block is basis independent.  F
+    commutes with place permutations and fixes u, or sends it to -u in the
+    symplectic case, so it commutes with both sums.
     """
     basis = sector_basis(theta, n)
     symplectic = flavor == "P" and theta % 2 == 0
     signs = (-1.0) ** np.arange(theta) if symplectic else np.ones(theta)
     sum_t, sum_b = _pair_sums(basis, np.arange(theta)[::-1], signs)
-    return basis.charges, sum_t, sum_b
+    charges, sum_t = flip_reduce(basis, sum_t)
+    return charges, sum_t, flip_reduce(basis, sum_b)[1]
 
 
 def field_weights(spec: HamiltonianSpec) -> np.ndarray:
@@ -395,7 +444,8 @@ def line_table(n: int, theta: int) -> LineTable:
 
 
 def spectral_lines(n: int, theta: int, L1: float, L2: float) -> List[SpectralLine]:
-    """One line per (lambda, k, rho) with positive branching coefficient."""
+    """One line per (lambda, k, rho) with positive branching coefficient;
+    ValueError when a coupling is not finite."""
     table = line_table(n, theta)
     energies = line_eigenvalue(table.c_rho, table.c_lam, L1, L2).tolist()
     return [
@@ -424,14 +474,18 @@ def z_direct(spec: HamiltonianSpec) -> float:
     The field couples per site (not divided by n).  H0 is diagonalized block
     by block in the torus basis, where exp(h sum_x W_x) is the scalar
     exp(h sum_k y_k q_k) on the sector of charges q, so every h reuses the
-    same blocks; W must preserve the flavor's pair form.
+    same blocks; W must preserve the flavor's pair form.  Each +-q pair of
+    sectors is solved once and enters with the weight
+    log(exp(h q.y) + exp(-h q.y)); the F-even and F-odd halves of q = 0
+    each enter with weight 1.
     """
     _check_cap(spec.theta, spec.n)
     charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
-    fields = spec.h * (charges @ field_weights(spec)) if spec.h else np.zeros(len(charges))
+    y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
     log_blocks = [
-        m + _logsumexp(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
-        for m, t, b in zip(fields, blocks_t, blocks_b)
+        _logsumexp(spec.h * (q @ y))
+        + _logsumexp(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
+        for q, t, b in zip(charges, blocks_t, blocks_b)
     ]
     return _z_from_log(_logsumexp(np.array(log_blocks)))
 
@@ -447,9 +501,10 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     per distinct lambda.  The lines are those of flavor Q, which is
     unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
-    has no lines here.  Raises ValueError when Z or a character is not a
-    positive finite double.
+    has no lines here.  Raises ValueError when a coupling is not finite, or
+    when Z or a character is not a positive finite double.
     """
+    require_finite(L1=L1, L2=L2, h=h)
     log_shift = 0.0
     if flavor == "P" and theta % 2 == 0:
         if theta != 2:

@@ -117,6 +117,18 @@ def test_free_energy_rejects_non_finite():
         assert "Traceback" not in res.output
 
 
+def test_line_commands_reject_non_finite_couplings():
+    for value in ("nan", "inf"):
+        for args in (
+            ("spectrum", "--theta", "2", "--n", "5", "--p1", value, "--p2", "0"),
+            ("branching", "--theta", "3", "--n", "6", "--p1", "1", "--p2", value),
+        ):
+            res = run(*args)
+            assert res.exit_code == 2, args
+            assert "must be finite" in res.output and "Traceback" not in res.output
+            assert "eigenvalue" not in res.output  # no CSV
+
+
 def test_spectrum_csv():
     res = run("spectrum", "--theta", "2", "--n", "3", "--p1", "1", "--p2", "1")
     lines = res.output.strip().splitlines()

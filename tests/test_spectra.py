@@ -21,6 +21,8 @@ from orthospin.spectra import (
     line_eigenvalue,
     perfect_matchings,
     pair_form,
+    sector_basis,
+    sector_pair_ops,
     spectral_lines,
     sum_field_op,
     sum_pair_ops,
@@ -363,6 +365,72 @@ def test_spec_rejects_non_finite_couplings(field, value):
     kwargs = {"L1": 1.0, "L2": 0.5, "h": 0.0, field: value}
     with pytest.raises(ValueError):
         HamiltonianSpec(2, 3, **kwargs)
+
+
+@pytest.mark.parametrize("field", ["L1", "L2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_line_routes_reject_non_finite_couplings(field, value):
+    kwargs = {"L1": 1.0, "L2": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        spectral_lines(5, 2, **kwargs)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        z_decomposed(10, 2, **kwargs)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        z_decomposed(6, 2, **kwargs, flavor="P")
+    with pytest.raises(ValueError, match="h must be finite"):
+        z_decomposed(10, 2, 1.0, 0.5, h=value)
+
+
+flip_sizes_st = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 8)), st.tuples(st.just(3), st.integers(1, 5)),
+    st.tuples(st.just(4), st.integers(1, 4)), st.tuples(st.just(5), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_sizes_st, st.sampled_from("QP"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
+    # each reduced block stands for its charges: [q, -q] for a pair, [0] for
+    # a half of the neutral sector; counted so, the blocks' eigenvalues are
+    # the spectrum of H0, and those of the reduced 3-cycle sum its spectrum
+    from orthospin.branching import _three_cycle_blocks
+
+    theta, n = size
+    charges, blocks_t, blocks_b = sector_pair_ops(theta, n, flavor)
+    for q in charges:
+        assert len(q) == 1 and not q.any() or len(q) == 2 and np.array_equal(q[1], -q[0])
+    copies = [len(q) for q in charges]
+    got = np.concatenate([np.repeat(np.linalg.eigvalsh(-(L1 * t + L2 * b)), c)
+                          for c, t, b in zip(copies, blocks_t, blocks_b)])
+    want = np.linalg.eigvalsh(build_hamiltonian(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
+    assert np.allclose(np.sort(got), want, rtol=0.0, atol=1e-10)
+    c3 = _three_cycle_blocks(theta, n)
+    assert [len(b) for b in c3] == [len(b) for b in blocks_t]
+    got = np.concatenate([np.repeat(np.linalg.eigvalsh(b), c) for c, b in zip(copies, c3)])
+    (full,) = _three_cycle_blocks(theta, n, keyed=False)
+    assert np.allclose(np.sort(got), np.linalg.eigvalsh(full), rtol=0.0, atol=1e-10)
+
+
+def test_z_direct_solves_each_charge_pair_once(monkeypatch):
+    # one eigensolve per +-q sector pair and two (F-even, F-odd) for q = 0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    for theta, n, flavor in ((2, 4, "Q"), (2, 7, "P"), (3, 4, "Q"), (3, 5, "P"),
+                             (4, 3, "Q"), (4, 4, "P"), (5, 3, "Q")):
+        sizes = sector_basis(theta, n).sizes
+        sector_pair_ops(theta, n, flavor)  # assembled outside the count
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        calls.clear()
+        z_direct(HamiltonianSpec(theta, n, 0.9, -0.4, flavor=flavor))
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        neutral = len(sizes) % 2
+        assert len(calls) == len(sizes) // 2 + 2 * neutral, (theta, n, flavor)
+        assert sum(calls) == (theta**n + sizes[len(sizes) // 2] * neutral) // 2
 
 
 def test_z_decomposed_flavor_p():
