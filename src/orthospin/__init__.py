@@ -32,9 +32,7 @@ from .branching import (
 )
 from .brauer import (
     BrauerDiagram,
-    BrauerElement,
     bar,
-    element_multiply,
     identity,
     multiply,
     represent,

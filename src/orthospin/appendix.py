@@ -29,6 +29,7 @@ from .intervals import DomainError, Interval, as_interval, ilog, intersect
 
 PAPER_LO = Fraction(81714053, 2**30)
 PAPER_HI = Fraction(1013243800, 2**30)
+ROOT_TOL = 1e-12  # width of the enclosure of bracket_inner_root
 
 
 def w_of_z(z: Interval) -> Interval:
@@ -115,8 +116,9 @@ def certify_positive(
     return CertReport(True, leaves, max_used)
 
 
-def bracket_inner_root(tol: float = 1e-12) -> Interval:
-    """Enclose the unique interior zero r of D(z) = 3(1-z) + (1+z) log z."""
+def bracket_inner_root() -> Interval:
+    """Enclose the unique interior zero r of D(z) = 3(1-z) + (1+z) log z
+    in an interval of width at most ROOT_TOL."""
 
     def d(z: float) -> float:
         return 3.0 * (1.0 - z) + (1.0 + z) * math.log(z)
@@ -124,7 +126,7 @@ def bracket_inner_root(tol: float = 1e-12) -> Interval:
     lo, hi = 1e-6, 0.5
     if not (d(lo) < 0.0 < d(hi)):
         raise RuntimeError("root bracket invalid")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if d(mid) < 0.0:
             lo = mid
@@ -253,7 +255,7 @@ class PQReport:
     certificate: str = ""
 
 
-def verify_pq_equivalence(theta: int, n: int = 2) -> PQReport:
+def verify_pq_equivalence(theta: int) -> PQReport:
     """For odd theta: construct psi and check the two-site conjugation
     psi2^{-1} Q psi2 = P.  For even theta: report the obstruction (the
     required sign matrix is antisymmetric while psi psi^T is always

@@ -13,14 +13,13 @@ parameter of the algebra rather than of the diagram.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 Point = int  # +i for top point i, -i for bottom point i (1-based)
+HOMOMORPHISM_TOL = 1e-12  # largest entry error verify_homomorphism accepts
 
 
 def _point_key(p: Point) -> Tuple[int, int]:
@@ -160,74 +159,24 @@ def multiply(d1: BrauerDiagram, d2: BrauerDiagram) -> Tuple[BrauerDiagram, int]:
     return BrauerDiagram(n, new_edges), loops
 
 
-class BrauerElement:
-    """Finite real combination of diagrams of a common size."""
-
-    def __init__(self, n: int, terms: Dict[BrauerDiagram, float] | None = None):
-        self.n = n
-        self.terms: Dict[BrauerDiagram, float] = {}
-        if terms:
-            for d, c in terms.items():
-                if d.n != n:
-                    raise ValueError("diagram size mismatch")
-                if c != 0:
-                    self.terms[d] = self.terms.get(d, 0.0) + c
-            self.terms = {d: c for d, c in self.terms.items() if c != 0}
-
-    @classmethod
-    def from_diagram(cls, d: BrauerDiagram, coeff: float = 1.0) -> "BrauerElement":
-        return cls(d.n, {d: coeff})
-
-    def __add__(self, other: "BrauerElement") -> "BrauerElement":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0.0) + c
-        return BrauerElement(self.n, out)
-
-    def scale(self, s: float) -> "BrauerElement":
-        return BrauerElement(self.n, {d: s * c for d, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BrauerElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*[{format_diagram(d)}]" for d, c in self.terms.items())
-        return f"BrauerElement({self.n}: {body or '0'})"
-
-
-def element_multiply(a: BrauerElement, b: BrauerElement, theta: float) -> BrauerElement:
-    """Bilinear extension of diagram multiplication with theta**loops scaling."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    out: Dict[BrauerDiagram, float] = {}
-    for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
-            d, loops = multiply(d1, d2)
-            out[d] = out.get(d, 0.0) + c1 * c2 * theta**loops
-    return BrauerElement(a.n, out)
+def perfect_matchings(items: Sequence[Point]) -> Iterator[List[Tuple[Point, Point]]]:
+    """Every pairing of items: the first item with each later one in turn,
+    then the pairings of what is left."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for i in range(1, len(items)):
+        rest = list(items[1:i]) + list(items[i + 1 :])
+        for sub in perfect_matchings(rest):
+            yield [(first, items[i])] + sub
 
 
 def all_diagrams(n: int) -> Iterator[BrauerDiagram]:
     """All (2n-1)!! perfect matchings on the 2n points."""
     points = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
-
-    def rec(remaining: Tuple[Point, ...], acc: List[Tuple[Point, Point]]):
-        if not remaining:
-            yield BrauerDiagram(n, acc)
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            other = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            yield from rec(rest, acc + [(first, other)])
-
-    yield from rec(tuple(points), [])
+    for edges in perfect_matchings(points):
+        yield BrauerDiagram(n, edges)
 
 
 def random_diagram(n: int, rng: np.random.Generator) -> BrauerDiagram:
@@ -366,9 +315,9 @@ def verify_homomorphism(
     flavor: str = "Q",
     seed: int = 0,
     exhaustive: bool = False,
-    tol: float = 1e-12,
 ) -> dict:
-    """Check represent(d1) @ represent(d2) == theta**loops * represent(d1 d2).
+    """Check represent(d1) @ represent(d2) == theta**loops * represent(d1 d2)
+    to HOMOMORPHISM_TOL in the largest entry.
 
     Returns a report dict; the first failing pair, if any, is recorded.
     """
@@ -387,7 +336,7 @@ def verify_homomorphism(
         rhs = float(theta) ** loops * represent(prod, theta, flavor)
         err = float(np.max(np.abs(lhs - rhs)))
         worst = max(worst, err)
-        if err > tol:
+        if err > HOMOMORPHISM_TOL:
             return {
                 "ok": False,
                 "pairs_checked": len(pairs),
@@ -395,8 +344,3 @@ def verify_homomorphism(
                 "failing_pair": (format_diagram(d1), format_diagram(d2)),
             }
     return {"ok": True, "pairs_checked": len(pairs), "max_error": worst}
-
-
-@lru_cache(maxsize=None)
-def double_factorial(m: int) -> int:
-    return math.prod(range(m, 0, -2)) if m > 0 else 1

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (any ValueError,
-e.g. non-finite couplings or an exceeded dense cap), 3 regime not covered by
-the theory (NOT_PROVEN).  All floats print with 17 significant
-digits so identical configs give byte-identical output; the environment
-variable ORTHO_SPIN_DENSE_CAP overrides the dense-matrix cap.
+e.g. non-finite couplings or an exceeded dense cap, and verify options that
+leave nothing to check), 3 regime not covered by the theory (NOT_PROVEN).
+All floats print with 17 significant digits so identical configs give
+byte-identical output; the environment variable ORTHO_SPIN_DENSE_CAP
+overrides the dense-matrix cap.
 """
 
 from __future__ import annotations
@@ -56,13 +57,16 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]) ->
 
 
 class _Main(click.Group):
-    """Report a ValueError raised by any command as a usage error (exit 2)."""
+    """Exit codes of any command: ValueError 2 (usage), NotProvenError 3 (NOT_PROVEN)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        except NotProvenError as exc:
+            click.echo(f"NOT_PROVEN: {exc}", err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)
@@ -167,12 +171,8 @@ def branching_cmd(theta, n, oracle, p1, p2, out):
 @click.option("--h", type=float, default=0.0)
 def free_energy_cmd(theta, param_mode, p1, p2, h):
     """Variational free energy (canonical value plus shift bookkeeping)."""
-    try:
-        L1, L2, shift = spectra.convert_parameters(param_mode, p1, p2, theta)
-        res = maximize_phi(theta, L1, L2, h=h)
-    except NotProvenError as exc:
-        click.echo(f"NOT_PROVEN: {exc}", err=True)
-        sys.exit(3)
+    L1, L2, shift = spectra.convert_parameters(param_mode, p1, p2, theta)
+    res = maximize_phi(theta, L1, L2, h=h)
     _echo_json(
         {
             "command": "free-energy",
@@ -273,14 +273,10 @@ def _phase_svg(rows: List[List[str]], path: str) -> None:
 @click.option("--h", type=float, default=1e-6)
 def magnetization(theta, p1, p2, param_mode, h):
     """Field free energy and one-sided derivatives at h = 0."""
-    try:
-        L1, L2, _ = spectra.convert_parameters(param_mode, p1, p2, theta)
-        up, down = one_sided_derivatives(theta, L1, L2)
-        phi_h = field_free_energy(theta, L1, L2, h)
-        phi_0 = field_free_energy(theta, L1, L2, 0.0)
-    except NotProvenError as exc:
-        click.echo(f"NOT_PROVEN: {exc}", err=True)
-        sys.exit(3)
+    L1, L2, _ = spectra.convert_parameters(param_mode, p1, p2, theta)
+    up, down = one_sided_derivatives(theta, L1, L2)
+    phi_h = field_free_energy(theta, L1, L2, h)
+    phi_0 = field_free_energy(theta, L1, L2, 0.0)
     _echo_json(
         {
             "command": "magnetization",
@@ -326,9 +322,20 @@ def verify() -> None:
     """Verification subcommands; exit 1 on failure."""
 
 
+# verify options reject sizes and counts that leave nothing to check (exit 2)
+_THETA = click.IntRange(min=2)
+_COUNT = click.IntRange(min=1)
+
+
+def _positive_finite(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise click.BadParameter(f"{value!r} is not a finite number > 0")
+    return value
+
+
 @verify.command("schur-weyl")
-@click.option("--theta", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--theta", type=_THETA, required=True)
+@click.option("--n", type=_COUNT, required=True)
 @click.option("--oracle", is_flag=True, default=False)
 def verify_schur_weyl(theta, n, oracle):
     total = sum(d_o * b * d_sn for _, b, d_o, d_sn in _line_table(n, theta, oracle).rows())
@@ -341,9 +348,9 @@ def verify_schur_weyl(theta, n, oracle):
 
 
 @verify.command("homomorphism")
-@click.option("--theta", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--samples", type=int, default=50)
+@click.option("--theta", type=_THETA, required=True)
+@click.option("--n", type=_COUNT, required=True)
+@click.option("--samples", type=_COUNT, default=50)
 @click.option("--flavor", type=click.Choice(["Q", "P"]), default="Q")
 @click.option("--seed", type=int, default=0)
 def verify_homomorphism_cmd(theta, n, samples, flavor, seed):
@@ -355,7 +362,7 @@ def verify_homomorphism_cmd(theta, n, samples, flavor, seed):
 
 
 @verify.command("appendix-a")
-@click.option("--depth", type=int, default=40)
+@click.option("--depth", type=click.IntRange(min=0), default=40)
 def verify_appendix_a(depth):
     report = appendix.certify_positive(appendix.PAPER_LO, appendix.PAPER_HI, depth)
     winding = appendix.winding_zero_count()
@@ -376,7 +383,7 @@ def verify_appendix_a(depth):
 
 
 @verify.command("unitary")
-@click.option("--theta", type=int, required=True)
+@click.option("--theta", type=_THETA, required=True)
 def verify_unitary(theta):
     report = appendix.verify_pq_equivalence(theta)
     payload = {
@@ -394,11 +401,11 @@ def verify_unitary(theta):
 
 
 @verify.command("oracle")
-@click.option("--theta", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--trials", type=int, default=20)
+@click.option("--theta", type=_THETA, required=True)
+@click.option("--n", type=_COUNT, required=True)
+@click.option("--trials", type=_COUNT, default=20)
 @click.option("--seed", type=int, default=0)
-@click.option("--tol", type=float, default=1e-9)
+@click.option("--tol", type=float, default=1e-9, callback=_positive_finite)
 def verify_oracle(theta, n, trials, seed, tol):
     """Dense trace vs character decomposition on random couplings."""
     rng = np.random.default_rng(seed)

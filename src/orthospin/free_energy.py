@@ -30,9 +30,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .partitions import partition_tuples
-from .spectra import convert_parameters
+from .spectra import convert_parameters, require_finite
 
 LOG16 = math.log(16.0)
+TIE_TOL = 1e-8  # maximize_phi keeps every maximiser this close to the best value
+BOUNDARY_TOL = 1e-9  # classify_phase: distance that still counts as on a boundary
+REGION_TOL = 1e-9  # in_disordered_region: excess over the symmetric value that leaves
+GROUP_TOL = 1e-6  # _group_pattern: coordinates this close form one block
 
 
 class NotProvenError(Exception):
@@ -49,7 +53,6 @@ class SimplexPoint:
 class MaximizeResult:
     value: float
     points: List[SimplexPoint]
-    y1_interval: Optional[Tuple[float, float]] = None
 
 
 def phi(theta: int, L1: float, L2: float, point: SimplexPoint) -> float:
@@ -143,11 +146,11 @@ def _objective_factory(theta: int, L1: float, L2: float, habs: float) -> Callabl
     return f_vec
 
 
-def _group_pattern(x: Sequence[float], tol: float = 1e-6) -> List[int]:
-    """Multiplicities of blocks of (nearly) equal coordinates, sorted input."""
+def _group_pattern(x: Sequence[float]) -> List[int]:
+    """Multiplicities of blocks of coordinates within GROUP_TOL, sorted input."""
     sizes = [1]
     for i in range(1, len(x)):
-        if abs(x[i] - x[i - 1]) <= tol:
+        if abs(x[i] - x[i - 1]) <= GROUP_TOL:
             sizes[-1] += 1
         else:
             sizes.append(1)
@@ -248,20 +251,18 @@ def _grouped_newton(L1: float, L2: float, habs: float,
     return _block_value(sizes, L1, L2, habs, g), xs
 
 
-def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
-                 tie_tol: float = 1e-8) -> MaximizeResult:
+def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeResult:
     """Global maximum of phi (+ |h| y_1 when h != 0) over the ordered simplex.
 
     The full (L1, L2) plane and every h are available for theta in {2, 3};
     for larger theta only L2 >= 0 at h = 0 is covered, and L2 < 0 or h != 0
-    raises NotProvenError.  All
-    maximisers within tie_tol of the best value are returned, one for each
-    group of refined limits within _MERGE_DIST of one another.
+    raises NotProvenError.  All maximisers within TIE_TOL of the best value
+    are returned, one for each group of refined limits within _MERGE_DIST of
+    one another.
     """
     if theta < 2:
         raise ValueError("theta >= 2 required")
-    if not all(math.isfinite(v) for v in (L1, L2, h)):
-        raise ValueError(f"couplings must be finite, got L1={L1!r}, L2={L2!r}, h={h!r}")
+    require_finite(L1=L1, L2=L2, h=h)
     if theta not in (2, 3) and (L2 < 0.0 or h != 0.0):
         raise NotProvenError(f"free energy unknown for theta={theta}, L2={L2}, h={h}")
     habs = abs(h)
@@ -307,7 +308,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
         i = int(np.argmax(vals))
         refined = [(best, tuple(float(v) for v in grid[i]))]
     top = max(max(v for v, _ in refined), best)
-    ties = [(v, xs) for v, xs in refined if v >= top - tie_tol]
+    ties = [(v, xs) for v, xs in refined if v >= top - TIE_TOL]
     # one limit per _MERGE_DIST neighbourhood: the fewest distinct coordinates
     # (a Newton limit on k blocks has exactly k), then the highest value
     kept: List[Tuple[float, Tuple[float, ...]]] = []
@@ -315,15 +316,11 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0,
         if all(max(abs(a - b) for a, b in zip(xs, q)) > _MERGE_DIST for _, q in kept):
             kept.append((val, xs))
     points: List[SimplexPoint] = []
-    y1_interval = None
     for _, xs in sorted(kept, key=lambda t: -t[0]):
         _, y = _y_bonus(L2, habs, xs[0] - xs[-1])
         ys = (y,) + (0.0,) * (theta - 1)
         points.append(SimplexPoint(xs, ys))
-    if L2 == 0.0 and habs == 0.0 and theta in (2, 3):
-        ymax = max(p.x[0] - p.x[-1] for p in points)
-        y1_interval = (0.0, ymax)
-    return MaximizeResult(top, points, y1_interval)
+    return MaximizeResult(top, points)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +345,12 @@ def field_free_energy(theta: int, L1: float, L2: float, h: float) -> float:
     return maximize_phi(theta, L1, L2, h=h).value
 
 
-def one_sided_derivatives(theta: int, L1: float, L2: float,
-                          tie_tol: float = 1e-8) -> Tuple[float, float]:
+def one_sided_derivatives(theta: int, L1: float, L2: float) -> Tuple[float, float]:
     """(right, left) derivative of the field free energy at h = 0:
     the extreme values of y_1 over the maximiser set of phi."""
     if theta not in (2, 3):
         raise NotProvenError("field derivatives proved for theta in {2,3}")
-    res = maximize_phi(theta, L1, L2, tie_tol=tie_tol)
+    res = maximize_phi(theta, L1, L2)
     if L2 > 0.0:
         return (0.0, 0.0)
     if L2 < 0.0:
@@ -376,13 +372,14 @@ class PhaseResult:
     note: str = ""
 
 
-def classify_phase(theta: int, p1: float, p2: float, mode: Optional[str] = None,
-                   boundary_tol: float = 1e-9) -> PhaseResult:
+def classify_phase(theta: int, p1: float, p2: float,
+                   mode: Optional[str] = None) -> PhaseResult:
     """Phase label per the finite-temperature diagrams.
 
     theta=2 expects XXZ couplings (K1, K2), theta=3 bilinear-biquadratic
     (J1, J2); canonical (L1, L2) input is converted.  theta >= 4 with
-    L2 >= 0 distinguishes Disordered from Ordered across beta_c.
+    L2 >= 0 distinguishes Disordered from Ordered across beta_c.  Couplings
+    within BOUNDARY_TOL of a phase boundary are labelled Boundary.
     """
     if mode is None:
         mode = {2: "K", 3: "J"}.get(theta, "L")
@@ -395,9 +392,9 @@ def classify_phase(theta: int, p1: float, p2: float, mode: Optional[str] = None,
             K1, K2 = p1, p2
         L1, L2, _ = convert_parameters("K", K1, K2, 2)
         res = maximize_phi(2, L1, L2)
-        near1 = abs(K1 - 4.0) <= boundary_tol
-        near2 = abs(K2 - 4.0) <= boundary_tol
-        neareq = abs(K1 - K2) <= boundary_tol and K1 >= 4.0
+        near1 = abs(K1 - 4.0) <= BOUNDARY_TOL
+        near2 = abs(K2 - 4.0) <= BOUNDARY_TOL
+        neareq = abs(K1 - K2) <= BOUNDARY_TOL and K1 >= 4.0
         if (near1 and K2 <= 4.0) or (near2 and K1 <= 4.0) or neareq:
             return PhaseResult("Boundary", False, res.value, res.points)
         if K1 <= 4.0 and K2 <= 4.0:
@@ -414,16 +411,16 @@ def classify_phase(theta: int, p1: float, p2: float, mode: Optional[str] = None,
         L1, L2, _ = convert_parameters("J", J1, J2, 3)
         res = maximize_phi(3, L1, L2)
         sym_val = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0)))
-        in_a = res.value <= sym_val + boundary_tol
+        in_a = res.value <= sym_val + BOUNDARY_TOL
         if J2 >= J1:
-            if abs(J2 - LOG16) <= boundary_tol and J1 <= LOG16:
+            if abs(J2 - LOG16) <= BOUNDARY_TOL and J1 <= LOG16:
                 return PhaseResult("Boundary", False, res.value, res.points)
             if J2 > LOG16:
                 return PhaseResult("Nematic", False, res.value, res.points)
             return PhaseResult("Disordered", False, res.value, res.points)
         if in_a:
             return PhaseResult("Disordered", False, res.value, res.points)
-        if abs(J1) <= boundary_tol and J2 <= -3.0:
+        if abs(J1) <= BOUNDARY_TOL and J2 <= -3.0:
             return PhaseResult(
                 "Boundary", True, res.value, res.points,
                 note="NOT_PROVEN: behaviour on the half-line J1=0, J2<=-3 is open",
@@ -440,7 +437,7 @@ def classify_phase(theta: int, p1: float, p2: float, mode: Optional[str] = None,
     res = maximize_phi(theta, L1, L2)
     b = L1 + L2
     bc = beta_c(theta)
-    if abs(b - bc) <= boundary_tol:
+    if abs(b - bc) <= BOUNDARY_TOL:
         return PhaseResult("Boundary", False, res.value, res.points)
     if b < bc:
         return PhaseResult("Disordered", False, res.value, res.points)
@@ -463,7 +460,7 @@ def quadratic_alpha(J1: float, J2: float) -> float:
 # ---------------------------------------------------------------------------
 # the spin-1 boundary curve
 
-def in_disordered_region(J1: float, J2: float, tol: float = 1e-9) -> bool:
+def in_disordered_region(J1: float, J2: float) -> bool:
     """Is the symmetric point the global maximiser of phi over R at (J1, J2)?
 
     R is the theta=3 ordered simplex with y_1 = x_1 - x_3.  In the wedge
@@ -471,12 +468,12 @@ def in_disordered_region(J1: float, J2: float, tol: float = 1e-9) -> bool:
     there, so the predicate scans that phi on the grid of step
     _CURVE_C_STEP and refines the 12 best grid points with the Newton of
     maximize_phi.  It answers False as soon as a grid or refined value
-    exceeds the symmetric value by more than tol.
+    exceeds the symmetric value by more than REGION_TOL.
     """
     if J2 > J1:
         raise ValueError(f"the wedge J1 >= J2 is required, got J1={J1!r}, J2={J2!r}")
     L1, L2 = J1, J2 - J1
-    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + tol
+    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
     grid = _sorted_simplex_grid(3, _CURVE_C_STEP)
     vals = _objective_factory(3, L1, L2, 0.0)(grid)
     order = np.argsort(vals)[::-1][:12]

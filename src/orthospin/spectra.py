@@ -64,11 +64,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import branching
+from .brauer import perfect_matchings
 from .group_chars import FieldDirection, char_o_field, dim_o
 from .partitions import LambdaRhoPair, Partition, line_invariants
 from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
+TOTAL_SPIN_TOL = 1e-9  # total_spin_observable: route gap over max(1, |value|)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
@@ -114,6 +116,12 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_flavor(flavor: str) -> None:
+    """ValueError unless flavor is Q (projector) or P (signed singlet)."""
+    if flavor not in ("Q", "P"):
+        raise ValueError(f"unknown flavor {flavor}")
+
+
 @dataclass
 class HamiltonianSpec:
     theta: int
@@ -127,8 +135,7 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.theta < 2 or self.n < 1:
             raise ValueError("need n >= 1 and theta >= 2")
-        if self.flavor not in ("Q", "P"):
-            raise ValueError(f"unknown flavor {self.flavor}")
+        require_flavor(self.flavor)
         require_finite(L1=self.L1, L2=self.L2, h=self.h)
         if self.field_matrix is None:
             self.field_matrix = default_w(self.theta)
@@ -501,9 +508,11 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     per distinct lambda.  The lines are those of flavor Q, which is
     unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
-    has no lines here.  Raises ValueError when a coupling is not finite, or
-    when Z or a character is not a positive finite double.
+    has no lines here.  Raises ValueError for an unknown flavor, when a
+    coupling is not finite, or when Z or a character is not a positive
+    finite double.
     """
+    require_flavor(flavor)
     require_finite(L1=L1, L2=L2, h=h)
     log_shift = 0.0
     if flavor == "P" and theta % 2 == 0:
@@ -529,16 +538,17 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
 
 
 def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,
-                          flavor: str = "Q", tol: float = 1e-9) -> float:
+                          flavor: str = "Q") -> float:
     """<exp((h/n) sum_x W_x)> computed by dense trace and by the
-    character-weighted line sum; the two must agree to tol."""
+    character-weighted line sum; the two must agree to TOTAL_SPIN_TOL
+    (AssertionError otherwise)."""
     if theta not in (2, 3):
         raise ValueError("total spin observable implemented for theta in {2,3}")
     dense = (z_direct(HamiltonianSpec(theta, n, L1, L2, h=h / n, flavor=flavor))
              / z_direct(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
     decomposed = (z_decomposed(n, theta, L1, L2, h / n, flavor=flavor)
                   / z_decomposed(n, theta, L1, L2, flavor=flavor))
-    if abs(dense - decomposed) > tol * max(1.0, abs(dense)):
+    if abs(dense - decomposed) > TOTAL_SPIN_TOL * max(1.0, abs(dense)):
         raise AssertionError(
             f"total-spin routes disagree: dense={dense!r}, lines={decomposed!r}"
         )
@@ -559,17 +569,6 @@ def total_spin_limit(theta: int, h: float, y1star: float) -> float:
 
 # ---------------------------------------------------------------------------
 # ground states
-
-def perfect_matchings(items: Sequence[int]) -> Iterator[List[Tuple[int, int]]]:
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        rest = list(items[1:i]) + list(items[i + 1 :])
-        for sub in perfect_matchings(rest):
-            yield [(first, items[i])] + sub
-
 
 def _pair_vector(theta: int, flavor: str) -> np.ndarray:
     """sum_a |a,a> for flavor Q; the signed singlet sum_i (-1)^i |i,theta-1-i>

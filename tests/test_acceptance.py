@@ -37,6 +37,7 @@ from orthospin.partitions import (
     line_invariants,
 )
 from orthospin.spectra import (
+    TOTAL_SPIN_TOL,
     HamiltonianSpec,
     build_hamiltonian,
     convert_parameters,
@@ -229,11 +230,12 @@ def test_criterion_08_magnetisation_derivatives():
 
 
 def test_criterion_09_total_spin():
+    assert TOTAL_SPIN_TOL <= 1e-9
     worst = 0.0
     for theta, nmax in ((2, 6), (3, 6)):
         for n in range(2, nmax + 1):
             # total_spin_observable asserts dense-vs-character <= 1e-9
-            total_spin_observable(n, theta, 1.1, 0.6, 1.0, tol=1e-9)
+            total_spin_observable(n, theta, 1.1, 0.6, 1.0)
     n = 10**4
     val = char_ratio_o(Partition([n // 2]), 3, 1.0 / n)
     err = abs(val - math.sinh(0.5) / 0.5)

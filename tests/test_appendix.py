@@ -137,7 +137,7 @@ def test_certify_monotone_in_subdivision():
 
 
 def test_inner_root_enclosure():
-    r = bracket_inner_root(tol=1e-12)
+    r = bracket_inner_root()
     assert r.width <= 1e-12 * 1.01
     assert r.hi < float(PAPER_LO)
     # sign change certified by interval evaluation of the denominator

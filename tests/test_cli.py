@@ -1,6 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from orthospin.cli import main
@@ -220,3 +226,62 @@ def test_curve_c_command():
     assert len(lines) == 12
     j1s = [float(l.split(",")[0]) for l in lines[1:]]
     assert j1s == sorted(j1s) and 2.25 in j1s
+
+
+@pytest.mark.parametrize("args", [
+    ("oracle", "--theta", "2", "--n", "4", "--tol", "nan"),
+    ("oracle", "--theta", "2", "--n", "4", "--tol", "inf"),
+    ("oracle", "--theta", "2", "--n", "4", "--tol", "0"),
+    ("oracle", "--theta", "2", "--n", "4", "--tol", "-1e-9"),
+    ("oracle", "--theta", "2", "--n", "4", "--trials", "0"),
+    ("oracle", "--theta", "2", "--n", "4", "--trials", "-3"),
+    ("oracle", "--theta", "2", "--n", "0"),
+    ("oracle", "--theta", "1", "--n", "4"),
+    ("homomorphism", "--theta", "2", "--n", "3", "--samples", "0"),
+    ("homomorphism", "--theta", "2", "--n", "0"),
+    ("homomorphism", "--theta", "0", "--n", "3"),
+    ("schur-weyl", "--theta", "2", "--n", "0"),
+    ("schur-weyl", "--theta", "1", "--n", "3"),
+    ("unitary", "--theta", "0"),
+    ("unitary", "--theta", "1"),
+    ("appendix-a", "--depth", "-1"),
+], ids=" ".join)
+def test_verify_rejects_vacuous_input(args):
+    # each leaves nothing to check, or sets a tolerance no comparison can meet
+    res = run("verify", *args)
+    assert res.exit_code == 2, (args, res.output)
+    assert "Invalid value" in res.output and "Traceback" not in res.output
+    assert res.stdout == ""
+
+
+def test_verify_accepts_the_smallest_valid_input():
+    for args in (
+        ("oracle", "--theta", "2", "--n", "1", "--trials", "1"),
+        ("homomorphism", "--theta", "2", "--n", "1", "--samples", "1"),
+    ):
+        res = run("verify", *args)
+        assert res.exit_code == 0, (args, res.output)
+
+
+def test_runs_without_test_only_packages():
+    # mpmath, scipy, hypothesis and pytest are test dependencies only
+    code = textwrap.dedent("""
+        import sys
+        for name in ("mpmath", "scipy", "hypothesis", "pytest"):
+            sys.modules[name] = None  # any import of them raises ImportError
+        import orthospin
+        from click.testing import CliRunner
+        from orthospin.cli import main
+        for args in (
+            ["zexact", "--theta", "3", "--n", "4", "--p1", "1", "--p2", "0.5", "--h", "0.3"],
+            ["verify", "unitary", "--theta", "3"],
+        ):
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 0, (args, res.output, res.exception)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

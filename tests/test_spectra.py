@@ -7,7 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from orthospin import branching
-from orthospin.brauer import embed_pair, pair_p_matrix, pair_q_matrix, pair_t_matrix, perm_matrix
+from orthospin.brauer import (
+    embed_pair,
+    pair_p_matrix,
+    pair_q_matrix,
+    pair_t_matrix,
+    perfect_matchings,
+    perm_matrix,
+)
 from orthospin.group_chars import FieldDirection, char_o_field, dim_o
 from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariants
 from orthospin.spectra import (
@@ -19,7 +26,6 @@ from orthospin.spectra import (
     dimer_ground_state,
     ising_product_states,
     line_eigenvalue,
-    perfect_matchings,
     pair_form,
     sector_basis,
     sector_pair_ops,
@@ -379,6 +385,16 @@ def test_line_routes_reject_non_finite_couplings(field, value):
         z_decomposed(6, 2, **kwargs, flavor="P")
     with pytest.raises(ValueError, match="h must be finite"):
         z_decomposed(10, 2, 1.0, 0.5, h=value)
+
+
+def test_z_decomposed_rejects_unknown_flavor():
+    # Z_P differs from Z_Q at theta=2, so a misspelt "P" must not give Z_Q
+    assert z_decomposed(4, 2, 1.0, 0.5, flavor="P") != z_decomposed(4, 2, 1.0, 0.5)
+    for flavor in ("p", "q", "", "PQ"):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            z_decomposed(4, 2, 1.0, 0.5, flavor=flavor)
+        with pytest.raises(ValueError, match="unknown flavor"):
+            HamiltonianSpec(2, 4, 1.0, 0.5, flavor=flavor)
 
 
 flip_sizes_st = st.one_of(
