@@ -12,9 +12,8 @@ parameter of the algebra rather than of the diagram.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,14 +45,6 @@ class BrauerDiagram:
         canon.sort(key=lambda e: _point_key(e[0]))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
-
-    def partner(self, p: Point) -> Point:
-        for a, b in self.edges:
-            if a == p:
-                return b
-            if b == p:
-                return a
-        raise KeyError(p)
 
     def __repr__(self) -> str:
         return f"BrauerDiagram({self.n}, {format_diagram(self)!r})"
@@ -91,72 +82,35 @@ def bar(n: int, x: int, y: int) -> BrauerDiagram:
 def multiply(d1: BrauerDiagram, d2: BrauerDiagram) -> Tuple[BrauerDiagram, int]:
     """Concatenate with d1 on top of d2; middle row removed.
 
-    Middle node m joins d1's bottom point -m with d2's top point +m; each
-    middle node has one incident edge in d1 and one in d2, so the
-    concatenation decomposes into paths between outer points plus closed
-    middle cycles.  Returns (product diagram, number of closed loops).
+    Middle node m joins d1's bottom point -m with d2's top point +m.  The
+    union of both diagrams' edges then falls apart into paths between two
+    outer points, the edges of the product, and closed middle loops, the
+    components without an outer point.  Returns (product diagram, loops).
     """
     if d1.n != d2.n:
         raise ValueError("size mismatch")
     n = d1.n
-    used = set()  # (1, m): d1-edge at middle m traversed; (2, m): d2-edge
+    # nodes: d1's top points 0..n-1, d2's bottom points n..2n-1, middle 2n..3n-1
+    parent = list(range(3 * n))
 
-    def walk(start: Point) -> Point:
-        """From an outer product point to the matching outer point."""
-        side, cur = ("d1", start) if start > 0 else ("d2", start)
-        while True:
-            if side == "d1":
-                q = d1.partner(cur)
-                if cur < 0:
-                    used.add((1, -cur))
-                if q > 0:
-                    return q
-                used.add((1, -q))
-                side, cur = "d2", -q  # continue at d2's top point
-            else:
-                q = d2.partner(cur)
-                if cur > 0:
-                    used.add((2, cur))
-                if q < 0:
-                    return q
-                used.add((2, q))
-                side, cur = "d1", -q  # continue at d1's bottom point
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    new_edges: List[Tuple[Point, Point]] = []
-    done = set()
-    for p in itertools.chain(range(1, n + 1), range(-1, -n - 1, -1)):
-        if p in done:
-            continue
-        q = walk(p)
-        done.add(p)
-        done.add(q)
-        new_edges.append((p, q))
-
-    loops = 0
-    for m in range(1, n + 1):
-        if (1, m) in used:
-            continue
-        loops += 1
-        side, cur = "d1", m  # about to traverse the d1-edge of middle cur
-        while True:
-            if side == "d1":
-                if (1, cur) in used:
-                    break
-                q = d1.partner(-cur)
-                assert q < 0, "open path found in loop traversal"
-                used.add((1, cur))
-                used.add((1, -q))
-                side, cur = "d2", -q
-            else:
-                if (2, cur) in used:
-                    break
-                q = d2.partner(cur)
-                assert q > 0, "open path found in loop traversal"
-                used.add((2, cur))
-                used.add((2, q))
-                side, cur = "d1", q
-
-    return BrauerDiagram(n, new_edges), loops
+    mid = 2 * n - 1
+    for d, top, bottom in ((d1, -1, mid), (d2, mid, n - 1)):
+        for a, b in d.edges:
+            ra = find(top + a if a > 0 else bottom - a)
+            parent[ra] = find(top + b if b > 0 else bottom - b)
+    components: Dict[int, List[Point]] = {}
+    for i in range(3 * n):
+        outer = components.setdefault(find(i), [])
+        if i < 2 * n:
+            outer.append(i + 1 if i < n else n - 1 - i)
+    edges = [tuple(c) for c in components.values() if c]
+    return BrauerDiagram(n, edges), len(components) - len(edges)
 
 
 def perfect_matchings(items: Sequence[Point]) -> Iterator[List[Tuple[Point, Point]]]:

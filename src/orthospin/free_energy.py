@@ -23,7 +23,7 @@ phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -95,15 +95,18 @@ def beta_of_xstar(theta: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # inner y maximisation (closed form)
 
-def _y_bonus(L2: float, habs: float, Y: float) -> Tuple[float, float]:
-    """max of -(L2/2) y^2 + habs*y over y in [0, Y]; returns (value, argmax)."""
-    if Y <= 0.0:
-        return (0.0, 0.0)
+def _y_bonus(L2: float, habs: float, Y):
+    """max of -(L2/2) y^2 + habs*y over y in [0, Y] and its argmax, for a float
+    or an array Y; both are 0 where Y <= 0.  Returns (value, argmax)."""
     if L2 > 0.0:
-        y = min(habs / L2, Y) if habs > 0.0 else 0.0
+        cap = habs / L2
     else:
-        y = Y if (habs > 0.0 or L2 < 0.0) else 0.0
-    return (-(0.5 * L2) * y * y + habs * y, y)
+        cap = math.inf if (habs > 0.0 or L2 < 0.0) else 0.0
+    if isinstance(Y, np.ndarray):
+        y = np.clip(Y, 0.0, cap)
+    else:
+        y = 0.0 if Y <= 0.0 else (Y if Y < cap else cap)
+    return -(0.5 * L2) * y * y + habs * y, y
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +131,14 @@ _CURVE_C_STEP = 0.004
 _MERGE_DIST = 1e-3
 
 
-def _objective_factory(theta: int, L1: float, L2: float, habs: float) -> Callable:
+def _objective_factory(L1: float, L2: float, habs: float) -> Callable:
     beta = L1 + L2
 
     def f_vec(xs: np.ndarray) -> np.ndarray:
         ent = np.where(xs > 0.0, xs * np.log(np.where(xs > 0.0, xs, 1.0)), 0.0)
         base = 0.5 * beta * np.sum(xs * xs, axis=1) - np.sum(ent, axis=1)
-        Y = xs[:, 0] - xs[:, -1]
-        if L2 > 0.0:
-            y = np.minimum(habs / L2, Y) if habs > 0.0 else np.zeros_like(Y)
-        elif L2 < 0.0 or habs > 0.0:
-            y = Y
-        else:
-            y = np.zeros_like(Y)
-        return base + (-(0.5 * L2) * y * y + habs * y)
+        bonus, _ = _y_bonus(L2, habs, xs[:, 0] - xs[:, -1])
+        return base + bonus
 
     return f_vec
 
@@ -174,25 +171,26 @@ def _block_value(sizes: Sequence[int], L1: float, L2: float, habs: float,
 
 def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float,
                        g: Sequence[float]) -> Tuple[List[float], List[List[float]]]:
-    """Gradient and Hessian of the objective in the free block values g_0..g_{L-2}.
+    """Gradient and Hessian of the objective in the free block values g_1..g_{L-1}.
 
-    The last block value follows from sum_j s_j g_j = 1 (s_j = sizes[j]).
-    The Hessian is diag(s_j (beta - 1/g_j)) reduced through that constraint,
-    plus the curvature -L2 of the y term along Y = g_0 - g_last while y_1
-    sits at its bound Y.
+    The first block value follows from sum_j s_j g_j = 1 (s_j = sizes[j]):
+    block 0 holds the largest coordinate, at least 1/theta, so no free value
+    is a difference of numbers close to 1.  The Hessian is
+    diag(s_j (beta - 1/g_j)) reduced through that constraint, plus the
+    curvature -L2 of the y term along Y = g_0 - g_last while y_1 sits at its
+    bound Y.
     """
     beta = L1 + L2
     m = len(sizes) - 1
-    a = [-n / sizes[-1] for n in sizes[:-1]]  # d g_last / d g_j
-    w = [(j == 0) - a_j for j, a_j in enumerate(a)]  # dY / d g_j
+    a = [-n / sizes[0] for n in sizes[1:]]  # d g_0 / d g_j
+    w = [a_j - (j == m - 1) for j, a_j in enumerate(a)]  # dY / d g_j
     Y = g[0] - g[-1]
     _, y = _y_bonus(L2, habs, Y)
-    at_bound = y >= Y if L2 > 0.0 else (habs > 0.0 or L2 < 0.0)
-    dbdY, c = (habs - L2 * Y, -L2) if at_bound else (0.0, 0.0)
+    dbdY, c = (habs - L2 * Y, -L2) if y >= Y else (0.0, 0.0)
     d1 = [n * (beta * v - math.log(v) - 1.0) for n, v in zip(sizes, g)]
     d2 = [n * (beta - 1.0 / v) for n, v in zip(sizes, g)]
-    grad = [d1[j] + a[j] * d1[-1] + dbdY * w[j] for j in range(m)]
-    hess = [[d2[j] * (j == k) + d2[-1] * a[j] * a[k] + c * w[j] * w[k] for k in range(m)]
+    grad = [d1[j + 1] + a[j] * d1[0] + dbdY * w[j] for j in range(m)]
+    hess = [[d2[j + 1] * (j == k) + d2[0] * a[j] * a[k] + c * w[j] * w[k] for k in range(m)]
             for j in range(m)]
     return grad, hess
 
@@ -207,14 +205,19 @@ def _grouped_newton(L1: float, L2: float, habs: float,
     or None if the iteration leaves the feasible cone.
     """
     sizes = _group_pattern(x0)
+    # rounding noise of _block_value, whose terms reach the size of the
+    # couplings: next to a maximiser the full Newton step may lower the value
+    # by this much (a shortened step, which is no longer quadratically
+    # convergent, may not)
+    noise = 1e-14 * (1.0 + abs(L1) + abs(L2) + habs)
 
     def blocks(free: List[float]) -> Optional[List[float]]:
-        g = free + [(1.0 - sum(n * v for n, v in zip(sizes, free))) / sizes[-1]]
+        g = [(1.0 - sum(n * v for n, v in zip(sizes[1:], free))) / sizes[0]] + free
         return g if min(g) > 0.0 else None
 
-    pos = 0
+    pos = sizes[0]
     free = []
-    for n in sizes[:-1]:
+    for n in sizes[1:]:
         free.append(sum(x0[pos:pos + n]) / n)
         pos += n
     for _ in range(80):
@@ -233,7 +236,8 @@ def _grouped_newton(L1: float, L2: float, habs: float,
         for _ in range(30):
             cand = [f - scale * d for f, d in zip(free, step)]
             gc = blocks(cand)
-            if gc is not None and _block_value(sizes, L1, L2, habs, gc) >= val - 1e-15:
+            slack = noise if scale == 1.0 else 1e-15
+            if gc is not None and _block_value(sizes, L1, L2, habs, gc) >= val - slack:
                 free = cand
                 break
             scale *= 0.5
@@ -258,7 +262,8 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     for larger theta only L2 >= 0 at h = 0 is covered, and L2 < 0 or h != 0
     raises NotProvenError.  All maximisers within TIE_TOL of the best value
     are returned, one for each group of refined limits within _MERGE_DIST of
-    one another.
+    one another; when no Newton limit comes within TIE_TOL of the best grid
+    value, the best grid point is returned, so the list is never empty.
     """
     if theta < 2:
         raise ValueError("theta >= 2 required")
@@ -267,7 +272,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
         raise NotProvenError(f"free energy unknown for theta={theta}, L2={L2}, h={h}")
     habs = abs(h)
     grid = _sorted_simplex_grid(theta, _GRID_STEP.get(theta, 0.05))
-    f_vec = _objective_factory(theta, L1, L2, habs)
+    f_vec = _objective_factory(L1, L2, habs)
     vals = f_vec(grid)
     best = float(np.max(vals))
     top = np.nonzero(vals >= best - 1e-4)[0]
@@ -289,7 +294,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     for t in (0.45, 0.6, 0.75, 0.9, 0.97):
         starts.append(tuple([t] + [(1.0 - t) / (theta - 1)] * (theta - 1)))
     if theta > 2:
-        for t in (0.55, 0.75, 0.95):
+        for t in (0.55, 0.75, 0.99):
             starts.append(tuple([t, 1.0 - t] + [0.0] * (theta - 2)))
 
     refined: List[Tuple[float, Tuple[float, ...]]] = []
@@ -303,16 +308,19 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
         res = _grouped_newton(L1, L2, habs, x0)
         if res is not None:
             refined.append(res)
-    if not refined:
-        # fall back to the best grid point (should not happen in practice)
-        i = int(np.argmax(vals))
-        refined = [(best, tuple(float(v) for v in grid[i]))]
-    top = max(max(v for v, _ in refined), best)
+    top = max([best] + [v for v, _ in refined])
     ties = [(v, xs) for v, xs in refined if v >= top - TIE_TOL]
-    # one limit per _MERGE_DIST neighbourhood: the fewest distinct coordinates
-    # (a Newton limit on k blocks has exactly k), then the highest value
+    if not ties:
+        # no Newton limit reaches the grid: a block underflows (x_2 = e^-1000
+        # at L1 = 1000), so the best grid point stands in for the maximiser
+        ties = [(best, tuple(float(v) for v in grid[int(np.argmax(vals))]))]
+    # one limit per _MERGE_DIST neighbourhood: one that attains the top value
+    # up to rounding, then the fewest distinct coordinates (a Newton limit on
+    # k blocks has exactly k), then the highest value.  At small h the
+    # symmetric point is such a neighbour of the maximiser, a little lower.
+    low = top - 1e-12 * max(1.0, abs(top))
     kept: List[Tuple[float, Tuple[float, ...]]] = []
-    for val, xs in sorted(ties, key=lambda t: (len(set(t[1])), -t[0])):
+    for val, xs in sorted(ties, key=lambda t: (t[0] < low, len(set(t[1])), -t[0])):
         if all(max(abs(a - b) for a, b in zip(xs, q)) > _MERGE_DIST for _, q in kept):
             kept.append((val, xs))
     points: List[SimplexPoint] = []
@@ -368,80 +376,62 @@ class PhaseResult:
     label: str
     conjectured: bool
     value: float
-    maximizers: List[SimplexPoint] = field(default_factory=list)
-    note: str = ""
+    maximizers: List[SimplexPoint]
+    note: str
 
 
 def classify_phase(theta: int, p1: float, p2: float,
                    mode: Optional[str] = None) -> PhaseResult:
     """Phase label per the finite-temperature diagrams.
 
-    theta=2 expects XXZ couplings (K1, K2), theta=3 bilinear-biquadratic
-    (J1, J2); canonical (L1, L2) input is converted.  theta >= 4 with
-    L2 >= 0 distinguishes Disordered from Ordered across beta_c.  Couplings
+    (p1, p2) are read in the parameter mode of convert_parameters; the
+    default is K (XXZ couplings) at theta=2, J (bilinear-biquadratic) at
+    theta=3 and L (canonical) otherwise, and a mode the theta does not take
+    raises ValueError.  theta >= 4 with L2 >= 0 distinguishes Disordered from
+    Ordered across beta_c; L2 < 0 there raises NotProvenError.  Couplings
     within BOUNDARY_TOL of a phase boundary are labelled Boundary.
     """
     if mode is None:
         mode = {2: "K", 3: "J"}.get(theta, "L")
-    mode = mode.upper()
+    L1, L2, _ = convert_parameters(mode, p1, p2, theta)
+    res = maximize_phi(theta, L1, L2)
+    label, conjectured, note = _phase_label(theta, L1, L2, res.value)
+    return PhaseResult(label, conjectured, res.value, res.points, note)
+
+
+def _phase_label(theta: int, L1: float, L2: float, value: float) -> Tuple[str, bool, str]:
+    """(label, conjectured, note) at canonical couplings with maximal phi value.
+
+    theta=2 reads the diagram in XXZ couplings K1 = 2(L1+L2), K2 = 2(L1-L2),
+    theta=3 in bilinear-biquadratic couplings J1 = L1, J2 = L1+L2.
+    """
     if theta == 2:
-        if mode in ("L", "CANONICAL"):
-            K1 = 2.0 * (p1 + p2)
-            K2 = 2.0 * (p1 - p2)
-        else:
-            K1, K2 = p1, p2
-        L1, L2, _ = convert_parameters("K", K1, K2, 2)
-        res = maximize_phi(2, L1, L2)
+        K1, K2 = 2.0 * (L1 + L2), 2.0 * (L1 - L2)
         near1 = abs(K1 - 4.0) <= BOUNDARY_TOL
         near2 = abs(K2 - 4.0) <= BOUNDARY_TOL
         neareq = abs(K1 - K2) <= BOUNDARY_TOL and K1 >= 4.0
         if (near1 and K2 <= 4.0) or (near2 and K1 <= 4.0) or neareq:
-            return PhaseResult("Boundary", False, res.value, res.points)
+            return "Boundary", False, ""
         if K1 <= 4.0 and K2 <= 4.0:
-            return PhaseResult("Disordered", False, res.value, res.points)
-        if K2 > K1:
-            return PhaseResult("Ising", False, res.value, res.points)
-        return PhaseResult("XY", False, res.value, res.points)
-
+            return "Disordered", False, ""
+        return ("Ising" if K2 > K1 else "XY"), False, ""
     if theta == 3:
-        if mode in ("L", "CANONICAL"):
-            J1, J2 = p1, p1 + p2
-        else:
-            J1, J2 = p1, p2
-        L1, L2, _ = convert_parameters("J", J1, J2, 3)
-        res = maximize_phi(3, L1, L2)
-        sym_val = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0)))
-        in_a = res.value <= sym_val + BOUNDARY_TOL
+        J1, J2 = L1, L1 + L2
         if J2 >= J1:
             if abs(J2 - LOG16) <= BOUNDARY_TOL and J1 <= LOG16:
-                return PhaseResult("Boundary", False, res.value, res.points)
-            if J2 > LOG16:
-                return PhaseResult("Nematic", False, res.value, res.points)
-            return PhaseResult("Disordered", False, res.value, res.points)
-        if in_a:
-            return PhaseResult("Disordered", False, res.value, res.points)
+                return "Boundary", False, ""
+            return ("Nematic" if J2 > LOG16 else "Disordered"), False, ""
+        sym_val = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0)))
+        if value <= sym_val + BOUNDARY_TOL:
+            return "Disordered", False, ""
         if abs(J1) <= BOUNDARY_TOL and J2 <= -3.0:
-            return PhaseResult(
-                "Boundary", True, res.value, res.points,
-                note="NOT_PROVEN: behaviour on the half-line J1=0, J2<=-3 is open",
-            )
-        if J1 > 0.0:
-            return PhaseResult("Ferromagnetic", True, res.value, res.points)
-        return PhaseResult("FourthPhase", True, res.value, res.points)
-
-    if mode not in ("L", "CANONICAL"):
-        raise ValueError(f"theta={theta} takes canonical (L1, L2) parameters only")
-    L1, L2, _ = convert_parameters("L", p1, p2, theta)
-    if L2 < 0.0:
-        raise NotProvenError(f"phase diagram unknown for theta={theta}, L2<0")
-    res = maximize_phi(theta, L1, L2)
-    b = L1 + L2
-    bc = beta_c(theta)
+            note = "NOT_PROVEN: behaviour on the half-line J1=0, J2<=-3 is open"
+            return "Boundary", True, note
+        return ("Ferromagnetic" if J1 > 0.0 else "FourthPhase"), True, ""
+    b, bc = L1 + L2, beta_c(theta)
     if abs(b - bc) <= BOUNDARY_TOL:
-        return PhaseResult("Boundary", False, res.value, res.points)
-    if b < bc:
-        return PhaseResult("Disordered", False, res.value, res.points)
-    return PhaseResult("Ordered", False, res.value, res.points)
+        return "Boundary", False, ""
+    return ("Disordered" if b < bc else "Ordered"), False, ""
 
 
 def quadratic_alpha(J1: float, J2: float) -> float:
@@ -475,7 +465,7 @@ def in_disordered_region(J1: float, J2: float) -> bool:
     L1, L2 = J1, J2 - J1
     bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
     grid = _sorted_simplex_grid(3, _CURVE_C_STEP)
-    vals = _objective_factory(3, L1, L2, 0.0)(grid)
+    vals = _objective_factory(L1, L2, 0.0)(grid)
     order = np.argsort(vals)[::-1][:12]
     if vals[order[0]] > bar:
         return False

@@ -369,21 +369,21 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 
 def convert_parameters(mode: str, p1: float, p2: float,
                        theta: Optional[int] = None) -> Tuple[float, float, float]:
-    """Convert XXZ (K1,K2) / bilinear-biquadratic (J1,J2) / canonical (L1,L2)
-    parameters to canonical form.
+    """Convert (p1, p2) in parameter mode L (canonical L1, L2), K (XXZ K1, K2,
+    theta=2 only) or J (bilinear-biquadratic J1, J2, theta=3 only) to
+    canonical form; this is the one reader of a mode string.
 
     Returns (L1, L2, shift) where the original Hamiltonian equals the
     canonical one plus shift * C(n,2) * id; the shift is reported, never
-    applied.  XXZ requires theta=2, the bilinear-biquadratic form theta=3.
+    applied.  Any other mode, and K or J at another theta, raise ValueError.
     """
-    mode = mode.upper()
-    if mode in ("L", "CANONICAL"):
+    if mode == "L":
         return float(p1), float(p2), 0.0
-    if mode in ("K", "XXZ"):
+    if mode == "K":
         if theta not in (None, 2):
             raise ValueError("XXZ parameterization requires theta=2")
         return (p1 + p2) / 4.0, (p1 - p2) / 4.0, p1 / 4.0
-    if mode in ("J", "BLBQ"):
+    if mode == "J":
         if theta not in (None, 3):
             raise ValueError("bilinear-biquadratic parameterization requires theta=3")
         return float(p1), float(p2 - p1), -float(p2)

@@ -211,6 +211,36 @@ def test_magnetization_command():
     assert float(payload["y1_down"]) > 0.5
 
 
+def test_phase_scan_rejects_a_mode_the_theta_does_not_take():
+    # K couplings exist at theta=2 only and J couplings at theta=3 only
+    for theta, mode in (("2", "J"), ("3", "K"), ("4", "K")):
+        res = run("phase-scan", "--theta", theta, "--param-mode", mode,
+                  "--p1-min", "0", "--p1-max", "6", "--p2-min", "0", "--p2-max", "6",
+                  "--steps", "2")
+        assert res.exit_code == 2, (theta, mode)
+        assert "Traceback" not in res.output
+
+
+def test_low_temperature_maximiser_is_reported():
+    # the maximiser x = (1 - 2.06e-9, 2.06e-9) sits next to the simplex corner
+    res = run("free-energy", "--theta", "2", "--p1", "20", "--p2", "0")
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert len(payload["maximizers"]) == 1
+    assert float(payload["maximizers"][0]["x"][1]) == pytest.approx(2.0611537881e-9, rel=1e-9)
+    assert payload["value"] > 10.0
+
+    res = run("magnetization", "--theta", "2", "--param-mode", "L", "--p1", "20", "--p2", "0")
+    assert res.exit_code == 0
+    assert float(json.loads(res.output)["y1_up"]) == pytest.approx(1.0, abs=1e-8)
+
+    res = run("phase-scan", "--theta", "2", "--param-mode", "L", "--p1-min", "20",
+              "--p1-max", "20", "--p2-min", "0", "--p2-max", "0", "--steps", "1")
+    assert res.exit_code == 0
+    row = res.output.splitlines()[1].split(",")
+    assert row[3] != "" and float(row[3].split("|")[1]) > 0.0
+
+
 def test_total_spin_command():
     res = run("total-spin", "--theta", "2", "--n", "4", "--p1", "1", "--p2", "0.5")
     assert res.exit_code == 0

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orthospin.free_energy as fe
 from orthospin.free_energy import (
@@ -219,7 +220,7 @@ def test_block_derivatives_match_central_differences():
                 L2, habs = couplings(g[0] - g[-1])
 
                 def blocks(free):
-                    return list(free) + [(1.0 - np.dot(sizes[:-1], free)) / sizes[-1]]
+                    return [(1.0 - np.dot(sizes[1:], free)) / sizes[0]] + list(free)
 
                 def value(free):
                     return fe._block_value(sizes, L1, L2, habs, blocks(free))
@@ -227,7 +228,7 @@ def test_block_derivatives_match_central_differences():
                 def derivatives(free):
                     return fe._block_derivatives(sizes, L1, L2, habs, blocks(free))
 
-                free = g[:-1]
+                free = g[1:]
                 grad, hess = derivatives(free)
                 for j in range(len(free)):
                     e = np.zeros(len(free))
@@ -313,6 +314,16 @@ def test_classify_phase_higher_theta():
         classify_phase(5, 1.0, -1.0, mode="L")
 
 
+def test_classify_phase_reads_only_the_modes_its_theta_takes():
+    # K couplings exist at theta=2 only and J couplings at theta=3 only
+    for theta, mode in ((2, "J"), (3, "K"), (4, "J")):
+        with pytest.raises(ValueError):
+            classify_phase(theta, 1.0, 1.0, mode=mode)
+    # canonical input is the same point as its XXZ or BLBQ image
+    assert classify_phase(2, 1.5, -0.5, mode="L").label == classify_phase(2, 2.0, 4.0).label
+    assert classify_phase(3, 3.25, -1.75, mode="L").label == classify_phase(3, 3.25, 1.5).label
+
+
 def test_quadratic_alpha():
     assert quadratic_alpha(-1.0, -4.0) == pytest.approx(0.8)
     assert quadratic_alpha(5.0, 1.0) == 1.0
@@ -386,6 +397,52 @@ def test_maximiser_near_the_simplex_boundary():
         assert 0.0 < p.x[2] < 1e-3
         assert phi(3, L1, L2, p) == pytest.approx(res.value, rel=1e-14)
     assert maximize_phi(3, 3.5, -7.5).value == pytest.approx(1.7795609116925921, rel=1e-14)
+
+
+def _assert_maximisers_attain(theta, L1, L2, h, res):
+    assert res.points, (theta, L1, L2, h)
+    for p in res.points:
+        at = phi(theta, L1, L2, p) + abs(h) * p.y[0]
+        assert abs(at - res.value) <= 1e-9 * max(1.0, abs(res.value)), (theta, L1, L2, h, p)
+
+
+@pytest.mark.parametrize("theta", [2, 3])
+@pytest.mark.parametrize("L1, L2, h, corner", [
+    (20.0, 0.0, 0.0, 10.0),
+    (50.0, 0.0, 0.0, 25.0),
+    (1e3, 0.0, 0.0, 500.0),
+    (0.0, -50.0, 0.0, 0.0),
+    (1.0, 0.0, 30.0, 30.5),
+])
+def test_low_temperature_maximiser(theta, L1, L2, h, corner):
+    # the smallest block is below 1e-8 (e^-1000 underflows at L1 = 1000, where
+    # the best grid point, the corner, stands in)
+    res = maximize_phi(theta, L1, L2, h)
+    _assert_maximisers_attain(theta, L1, L2, h, res)
+    assert res.value >= corner
+    assert res.points[0].x[-1] < 1e-8
+
+
+def test_low_temperature_maximiser_is_not_a_lower_stationary_point():
+    # a three-block maximiser with x_3 ~ 1e-10 beside the two-block
+    # stationary point at 4.50000037
+    res = maximize_phi(3, 7.0, -14.0, 1.0)
+    assert res.value == pytest.approx(4.500335406476207, rel=1e-12)
+    _assert_maximisers_attain(3, 7.0, -14.0, 1.0, res)
+
+
+@pytest.mark.xfail(strict=True, reason="x_3 underflows; the best grid point stands in")
+def test_maximiser_on_an_underflowing_face():
+    # the maximum sits on the x_3 = 0 face: -500 t^2 - t log t - (1-t) log(1-t)
+    assert maximize_phi(3, 0.0, -1000.0).value == pytest.approx(0.019014976191190588,
+                                                                rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+       st.floats(-30.0, 30.0))
+def test_maximize_phi_reports_maximisers_attaining_the_value(theta, L1, L2, h):
+    _assert_maximisers_attain(theta, L1, L2, h, maximize_phi(theta, L1, L2, h))
 
 
 def _grid_by_slots(theta, step):

@@ -48,6 +48,10 @@ def test_convert_parameters():
     assert convert_parameters("L", 0.3, -0.7) == (0.3, -0.7, 0.0)
     with pytest.raises(ValueError):
         convert_parameters("K", 1.0, 1.0, 3)
+    # only the CLI's spellings are modes
+    for mode in ("CANONICAL", "XXZ", "BLBQ", "l", "k", "j"):
+        with pytest.raises(ValueError):
+            convert_parameters(mode, 1.0, 1.0)
 
 
 def test_default_w_matrices():
