@@ -18,6 +18,7 @@ w has a fourth-order zero at 1 and naive enclosures are hopeless there.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,32 +26,28 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .intervals import DomainError, Interval, as_interval, ilog, intersect
+from .intervals import DomainError, Interval, ilog, intersect
 
 PAPER_LO = Fraction(81714053, 2**30)
 PAPER_HI = Fraction(1013243800, 2**30)
 ROOT_TOL = 1e-12  # width of the enclosure of bracket_inner_root
 
 
-def w_of_z(z: Interval) -> Interval:
-    """Enclosure of w over z; raises DomainError when a sub-expression's
-    denominator contains 0 or a logarithm argument touches <= 0."""
-    if z.lo <= 0.0 or z.hi >= 1.0:
-        raise DomainError(f"w defined on (0,1) only, got {z}")
-    lz = ilog(z)
+def _w(z, log):
+    """w(z), evaluated with log: ilog on an Interval, cmath.log on a complex.
+    The operation order is the interval enclosure's (it rounds outward after
+    every operation)."""
+    lz = log(z)
     one_minus = 1 - z
     t1 = lz * (1 + 5 * z) / (4 * one_minus)
     den = 3 * one_minus + (1 + z) * lz
-    num = -(z * lz)
-    return as_interval(1.5) + t1 + ilog(num / den)
+    return 1.5 + t1 + log(-(z * lz) / den)
 
 
-def w_prime_of_z(z: Interval) -> Interval:
-    """Enclosure of w'(z) = (1+5z)/(4z(1-z)) + 3 log(z)/(2(1-z)^2)
-    + (1+log z)/(z log z) - (log z + 1/z - 2)/D(z)."""
-    if z.lo <= 0.0 or z.hi >= 1.0:
-        raise DomainError(f"w' defined on (0,1) only, got {z}")
-    lz = ilog(z)
+def _w_prime(z, log):
+    """w'(z) = (1+5z)/(4z(1-z)) + 3 log(z)/(2(1-z)^2) + (1+log z)/(z log z)
+    - (log z + 1/z - 2)/D(z), evaluated as _w."""
+    lz = log(z)
     one_minus = 1 - z
     part1 = (1 + 5 * z) / (4 * z * one_minus)
     part2 = 3 * lz / (2 * one_minus * one_minus)
@@ -58,6 +55,21 @@ def w_prime_of_z(z: Interval) -> Interval:
     den = 3 * one_minus + (1 + z) * lz
     part4 = (lz + 1 / z - 2) / den
     return part1 + part2 + part3 - part4
+
+
+def w_of_z(z: Interval) -> Interval:
+    """Enclosure of w over z; raises DomainError when a sub-expression's
+    denominator contains 0 or a logarithm argument touches <= 0."""
+    if z.lo <= 0.0 or z.hi >= 1.0:
+        raise DomainError(f"w defined on (0,1) only, got {z}")
+    return _w(z, ilog)
+
+
+def w_prime_of_z(z: Interval) -> Interval:
+    """Enclosure of w'(z) over z."""
+    if z.lo <= 0.0 or z.hi >= 1.0:
+        raise DomainError(f"w' defined on (0,1) only, got {z}")
+    return _w_prime(z, ilog)
 
 
 def w_enclosure(z: Interval) -> Interval:
@@ -138,21 +150,8 @@ def bracket_inner_root() -> Interval:
 # ---------------------------------------------------------------------------
 # argument-principle zero count
 
-def _w_complex(z: complex) -> complex:
-    lz = cmath.log(z)
-    den = 3.0 * (1.0 - z) + (1.0 + z) * lz
-    return 1.5 + lz * (1.0 + 5.0 * z) / (4.0 * (1.0 - z)) + cmath.log(-z * lz / den)
-
-
-def _w_prime_complex(z: complex) -> complex:
-    lz = cmath.log(z)
-    den = 3.0 * (1.0 - z) + (1.0 + z) * lz
-    return (
-        (1.0 + 5.0 * z) / (4.0 * z * (1.0 - z))
-        + 3.0 * lz / (2.0 * (1.0 - z) ** 2)
-        + (1.0 + lz) / (z * lz)
-        - (lz + 1.0 / z - 2.0) / den
-    )
+_w_complex = functools.partial(_w, log=cmath.log)
+_w_prime_complex = functools.partial(_w_prime, log=cmath.log)
 
 
 @dataclass

@@ -208,16 +208,17 @@ def spectral_extract_branching(n: int, theta: int,
     """Read b off the dense spectrum of H(L1, L2) at couplings drawn from seed.
 
     Candidates sharing the exact integer invariants (c(rho), c(lambda) +
-    k(1-theta)) collide at every parameter choice; those groups are resolved
-    by combining the measured eigenspace dimension, the cell-module upper
-    bound b <= btilde, and the restriction of the 3-cycle class sum to the
-    eigenspace.  The spectrum is read off the flip-reduced blocks of
+    k(1-theta)) collide at every parameter choice.  Each such group is solved
+    by one rule: the b with 0 <= b <= btilde (the cell-module bound) whose
+    sum of b d_O d_Sn is the measured eigenspace dimension, filtered by the
+    3-cycle class sum restricted to the eigenspace when more than one is.
+    The spectrum is read off the flip-reduced blocks of
     spectra.sector_pair_ops: each block's eigenvalues count once per charge
     it stands for (twice for a +-q pair, once for a half of q = 0), and the
     3-cycle moment sums over the same blocks of _three_cycle_blocks with the
-    same weights.  Raises UnresolvedExtractionError when that still leaves
-    more than one integer solution, or when _MAX_RESAMPLES draws of the
-    couplings leave two groups' lines closer than 1e-3 max(1, n).
+    same weights.  Raises UnresolvedExtractionError unless exactly one b is
+    left in every group, or when _MAX_RESAMPLES draws of the couplings leave
+    two groups' lines closer than 1e-3 max(1, n).
     """
     from . import spectra
     from .group_chars import dim_o
@@ -264,32 +265,9 @@ def spectral_extract_branching(n: int, theta: int,
     c3 = None
     result: Dict[int, int] = {}
     for gi, key in enumerate(group_keys):
-        members = groups[key]
-        dim = int(dims[gi])
-        live = [i for i in members if btilde[i] > 0]
-        for i in members:
-            if btilde[i] == 0:
-                result[i] = 0
-        if not live:
-            if dim != 0:
-                raise UnresolvedExtractionError(
-                    f"eigenspace of dimension {dim} with no admissible candidate"
-                )
-            continue
-        if len(live) == 1:
-            i = live[0]
-            b, rem = divmod(dim, weights[i])
-            if rem != 0 or b > btilde[i]:
-                raise UnresolvedExtractionError(
-                    f"dimension {dim} not a multiple of {weights[i]} for {candidates[i]!r}"
-                )
-            result[i] = b
-            continue
-        # collision group: enumerate integer solutions within cell bounds
-        sols = []
-        for combo in itertools.product(*(range(btilde[i] + 1) for i in live)):
-            if sum(b * weights[i] for b, i in zip(combo, live)) == dim:
-                sols.append(combo)
+        members, dim = groups[key], int(dims[gi])
+        sols = [combo for combo in itertools.product(*(range(btilde[i] + 1) for i in members))
+                if sum(b * weights[i] for b, i in zip(combo, members)) == dim]
         if len(sols) > 1:
             if c3 is None:
                 c3 = _three_cycle_blocks(theta, n)
@@ -297,22 +275,16 @@ def spectral_extract_branching(n: int, theta: int,
             for k, (_, evecs) in enumerate(solved):
                 block = evecs[:, assign[offsets[k]:offsets[k + 1]] == gi]
                 moment += copies[k] * float(np.sum(block * (c3[k] @ block)))
-            omegas = [_omega3(candidates[i].rho) for i in live]
-            sols = [
-                combo
-                for combo in sols
-                if abs(
-                    sum(b * weights[i] * om for b, i, om in zip(combo, live, omegas))
-                    - moment
-                )
-                < 1e-4 * max(1.0, abs(moment))
-            ]
+            omegas = [_omega3(candidates[i].rho) for i in members]
+            sols = [combo for combo in sols
+                    if abs(sum(b * weights[i] * om for b, i, om in zip(combo, members, omegas))
+                           - moment) < 1e-4 * max(1.0, abs(moment))]
         if len(sols) != 1:
             raise UnresolvedExtractionError(
-                f"collision group {[(candidates[i]) for i in live]} unresolved"
+                f"eigenspace of dimension {dim} on {[candidates[i] for i in members]}: "
+                f"{len(sols)} solutions within the cell bounds"
             )
-        for b, i in zip(sols[0], live):
-            result[i] = b
+        result.update(zip(members, sols[0]))
 
     total = sum(result[i] * weights[i] for i in range(len(candidates)))
     if total != theta**n:

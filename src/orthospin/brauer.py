@@ -153,11 +153,17 @@ def pair_t_matrix(theta: int) -> np.ndarray:
     return t
 
 
+def pair_form(theta: int, flavor: str) -> np.ndarray:
+    """The bilinear form J of the flavor's pair vector sum_ab J_ab |a,b>:
+    the identity for Q, J_{i,theta-1-i} = (-1)^i for P."""
+    if flavor == "Q":
+        return np.eye(theta)
+    return np.fliplr(np.diag((-1.0) ** np.arange(theta)))
+
+
 def pair_q_matrix(theta: int) -> np.ndarray:
     """<a,a'|Q|b,b'> = delta_{a,a'} delta_{b,b'}: rank-one projector times theta."""
-    u = np.zeros(theta * theta)
-    for a in range(theta):
-        u[a * theta + a] = 1.0
+    u = pair_form(theta, "Q").ravel()
     return np.outer(u, u)
 
 
@@ -168,12 +174,8 @@ def pair_p_matrix(theta: int) -> np.ndarray:
     corresponds to a = S - i, so -a sits at index theta-1-i and the sign
     (-1)^{a-b} becomes (-1)^{i-j} on index pairs.
     """
-    p = np.zeros((theta * theta, theta * theta))
-    for i in range(theta):
-        for j in range(theta):
-            sign = -1.0 if (i - j) % 2 else 1.0
-            p[i * theta + (theta - 1 - i), j * theta + (theta - 1 - j)] = sign
-    return p
+    u = pair_form(theta, "P").ravel()
+    return np.outer(u, u)
 
 
 def _perm_indices(sigma: Sequence[int], theta: int, n: int) -> np.ndarray:

@@ -110,7 +110,6 @@ def zexact(theta, n, p1, p2, h, flavor):
 @_add_options(_common)
 def zchar(theta, n, p1, p2, h, flavor):
     """Character-decomposition partition function."""
-    spectra.HamiltonianSpec(theta, n, p1, p2, h=h, flavor=flavor)  # validates the input
     z = spectra.z_decomposed(n, theta, p1, p2, h=h, flavor=flavor)
     _echo_json(
         {"command": "zchar", "n": n, "theta": theta, "L1": p1, "L2": p2,

@@ -162,29 +162,30 @@ def _interior(x: Sequence[float]) -> Tuple[float, ...]:
 
 
 def _block_value(sizes: Sequence[int], L1: float, L2: float, habs: float,
-                 g: Sequence[float]) -> float:
-    """The objective at block values g (block j holds sizes[j] equal coordinates)."""
+                 g: Sequence[float], face: bool = False) -> float:
+    """The objective at block values g (block j holds sizes[j] equal coordinates),
+    followed on the x_theta = 0 face by a fixed zero block."""
     beta = L1 + L2
-    bonus, _ = _y_bonus(L2, habs, g[0] - g[-1])
+    bonus, _ = _y_bonus(L2, habs, g[0] - (0.0 if face else g[-1]))
     return sum(n * (0.5 * beta * v * v - v * math.log(v)) for n, v in zip(sizes, g)) + bonus
 
 
-def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float,
-                       g: Sequence[float]) -> Tuple[List[float], List[List[float]]]:
+def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float, g: Sequence[float],
+                       face: bool = False) -> Tuple[List[float], List[List[float]]]:
     """Gradient and Hessian of the objective in the free block values g_1..g_{L-1}.
 
     The first block value follows from sum_j s_j g_j = 1 (s_j = sizes[j]):
     block 0 holds the largest coordinate, at least 1/theta, so no free value
     is a difference of numbers close to 1.  The Hessian is
     diag(s_j (beta - 1/g_j)) reduced through that constraint, plus the
-    curvature -L2 of the y term along Y = g_0 - g_last while y_1 sits at its
-    bound Y.
+    curvature -L2 of the y term along Y = g_0 - g_last (g_0 on the face)
+    while y_1 sits at its bound Y.
     """
     beta = L1 + L2
     m = len(sizes) - 1
     a = [-n / sizes[0] for n in sizes[1:]]  # d g_0 / d g_j
-    w = [a_j - (j == m - 1) for j, a_j in enumerate(a)]  # dY / d g_j
-    Y = g[0] - g[-1]
+    w = [a_j - (j == m - 1 and not face) for j, a_j in enumerate(a)]  # dY / d g_j
+    Y = g[0] - (0.0 if face else g[-1])
     _, y = _y_bonus(L2, habs, Y)
     dbdY, c = (habs - L2 * Y, -L2) if y >= Y else (0.0, 0.0)
     d1 = [n * (beta * v - math.log(v) - 1.0) for n, v in zip(sizes, g)]
@@ -196,15 +197,18 @@ def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float,
 
 
 def _grouped_newton(L1: float, L2: float, habs: float,
-                    x0: Sequence[float]) -> Optional[Tuple[float, Tuple[float, ...]]]:
+                    x0: Tuple[float, ...]) -> Optional[Tuple[float, Tuple[float, ...]]]:
     """Newton ascent treating blocks of equal coordinates as single variables,
     with the analytic derivatives of _block_derivatives.  The blocks are few,
     so the arithmetic runs on Python floats.
 
-    Returns (value, x) at a stationary point of the block-reduced objective,
-    or None if the iteration leaves the feasible cone.
+    Exact zero coordinates of x0 stay a fixed zero block: Newton then runs on
+    the x_theta = 0 face, where a maximiser whose last coordinate underflows
+    (e^-1000) has a limit.  Returns (value, x) at a stationary point of the
+    block-reduced objective, or None if the iteration leaves the feasible cone.
     """
-    sizes = _group_pattern(x0)
+    zeros = x0.count(0.0)
+    face, sizes = zeros > 0, _group_pattern(x0[:len(x0) - zeros])
     # rounding noise of _block_value, whose terms reach the size of the
     # couplings: next to a maximiser the full Newton step may lower the value
     # by this much (a shortened step, which is no longer quadratically
@@ -224,8 +228,8 @@ def _grouped_newton(L1: float, L2: float, habs: float,
         g = blocks(free)
         if g is None:
             return None
-        val = _block_value(sizes, L1, L2, habs, g)
-        grad, hess = _block_derivatives(sizes, L1, L2, habs, g)
+        val = _block_value(sizes, L1, L2, habs, g, face)
+        grad, hess = _block_derivatives(sizes, L1, L2, habs, g, face)
         if not grad or max(map(abs, grad)) < 1e-11:
             break
         try:
@@ -237,7 +241,7 @@ def _grouped_newton(L1: float, L2: float, habs: float,
             cand = [f - scale * d for f, d in zip(free, step)]
             gc = blocks(cand)
             slack = noise if scale == 1.0 else 1e-15
-            if gc is not None and _block_value(sizes, L1, L2, habs, gc) >= val - slack:
+            if gc is not None and _block_value(sizes, L1, L2, habs, gc, face) >= val - slack:
                 free = cand
                 break
             scale *= 0.5
@@ -246,13 +250,13 @@ def _grouped_newton(L1: float, L2: float, habs: float,
     g = blocks(free)
     if g is None:
         return None
-    grad, _ = _block_derivatives(sizes, L1, L2, habs, g)
+    grad, _ = _block_derivatives(sizes, L1, L2, habs, g, face)
     if grad and max(map(abs, grad)) > 1e-9:
         return None
     xs = tuple(v for n, v in zip(sizes, g) for _ in range(n))
     if any(b - a > 1e-12 for a, b in zip(xs, xs[1:])):
         return None
-    return _block_value(sizes, L1, L2, habs, g), xs
+    return _block_value(sizes, L1, L2, habs, g, face), xs + (0.0,) * zeros
 
 
 def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeResult:
@@ -275,6 +279,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     f_vec = _objective_factory(L1, L2, habs)
     vals = f_vec(grid)
     best = float(np.max(vals))
+    best_x = tuple(float(v) for v in grid[int(np.argmax(vals))])
     top = np.nonzero(vals >= best - 1e-4)[0]
     # keep one representative start per coarse grid cell (flat near-critical
     # basins otherwise flood the refiner with duplicates)
@@ -305,15 +310,18 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
         if key in seen:
             continue
         seen.add(key)
-        res = _grouped_newton(L1, L2, habs, x0)
-        if res is not None:
-            refined.append(res)
+        refined.append(_grouped_newton(L1, L2, habs, x0))
+    if best_x[-1] == 0.0:
+        # as it is, too: x_theta = e^-1000 at L2 = -1000 underflows, and only
+        # the Newton on the x_theta = 0 face has a limit there
+        refined.append(_grouped_newton(L1, L2, habs, best_x))
+    refined = [res for res in refined if res is not None]
     top = max([best] + [v for v, _ in refined])
     ties = [(v, xs) for v, xs in refined if v >= top - TIE_TOL]
     if not ties:
         # no Newton limit reaches the grid: a block underflows (x_2 = e^-1000
         # at L1 = 1000), so the best grid point stands in for the maximiser
-        ties = [(best, tuple(float(v) for v in grid[int(np.argmax(vals))]))]
+        ties = [(best, best_x)]
     # one limit per _MERGE_DIST neighbourhood: one that attains the top value
     # up to rounding, then the fewest distinct coordinates (a Newton limit on
     # k blocks has exactly k), then the highest value.  At small h the
@@ -348,7 +356,7 @@ def free_energy(theta: int, p1: float, p2: float, mode: str = "L",
 
 def field_free_energy(theta: int, L1: float, L2: float, h: float) -> float:
     """max over the domain of [phi + |h| y_1], theta in {2, 3}."""
-    if theta not in (2, 3):
+    if theta > 3:  # theta < 2 is bad input, which maximize_phi rejects
         raise NotProvenError("field free energy proved for theta in {2,3}")
     return maximize_phi(theta, L1, L2, h=h).value
 
@@ -356,7 +364,7 @@ def field_free_energy(theta: int, L1: float, L2: float, h: float) -> float:
 def one_sided_derivatives(theta: int, L1: float, L2: float) -> Tuple[float, float]:
     """(right, left) derivative of the field free energy at h = 0:
     the extreme values of y_1 over the maximiser set of phi."""
-    if theta not in (2, 3):
+    if theta > 3:  # theta < 2 is bad input, which maximize_phi rejects
         raise NotProvenError("field derivatives proved for theta in {2,3}")
     res = maximize_phi(theta, L1, L2)
     if L2 > 0.0:

@@ -2,16 +2,19 @@
 
 Dimensions come from Weyl's product formulas, evaluated in exact rational
 arithmetic.  Characters of O(theta) at group elements exp(h W), W skew
-symmetric, are evaluated two independent ways:
+symmetric, at x = h w_1:
 
-* the orthogonal Jacobi-Trudi determinant
-      chi_lam = det( h_{lam_i - i + j} - h_{lam_i - i - j} ),
+* theta = 2, 3 in closed form: 2 cosh(a x) for the one-row label (a) at
+  theta = 2 (1 for the empty and (1,1) labels), and the spin-a character
+  sinh((a + 1/2) x) / sinh(x / 2) at theta = 3, where every label is a
+  one-row label (a) or its column flip;
+* theta >= 4 by the orthogonal Jacobi-Trudi determinant
+      chi_lam = det( h_{lam_i - i + j} - h_{lam_i - i - j} )
   in complete homogeneous symmetric functions of the theta eigenvalues of
-  the group element (works for every theta, and at h = 0 reduces to exact
-  integer arithmetic, giving a dimension check independent of the Weyl
-  products);
-* King's tableau sum for the SO(2r+1) character, used as a cross-check for
-  odd theta.
+  the group element (at h = 0 it reduces to exact integer arithmetic,
+  giving a dimension check independent of the Weyl products);
+* King's tableau sum for the SO(2r+1) character is the cross-check of both
+  at odd theta.
 """
 
 from __future__ import annotations
@@ -202,8 +205,8 @@ def char_o_field(lam: Partition, theta: int, h: float,
     """Character of the O(theta) irreducible lam at exp(h W).
 
     W is encoded by its positive spectrum half (direction); the default has
-    w = (1, 0, ...).  Closed forms are used for theta = 2; everything else
-    goes through the orthogonal Jacobi-Trudi determinant.
+    w = (1, 0, ...).  Closed forms at theta = 2, 3 (module docstring), the
+    orthogonal Jacobi-Trudi determinant for theta >= 4.
     """
     if not admissible_lambda(lam, theta):
         raise ValueError(f"{lam!r} not an O({theta}) label")
@@ -217,6 +220,13 @@ def char_o_field(lam: Partition, theta: int, h: float,
         a = lam[0]
         w1 = direction.weights[0]
         return math.exp(h * a * w1) + math.exp(-h * a * w1)
+    if theta == 3:
+        a = (column_flip(lam, 3) if len(lam) > 1 else lam).size
+        x = abs(h * direction.weights[0])
+        if x == 0.0:
+            return float(2 * a + 1)
+        # sinh((a + 1/2) x) / sinh(x / 2), which overflows only with its value
+        return math.exp(a * x) * math.expm1(-(2 * a + 1) * x) / math.expm1(-x)
     if h == 0.0:
         return float(ortho_char_det(lam, [1] * theta))
     return float(ortho_char_det(lam, _group_eigenvalues(theta, h, direction)))
@@ -277,28 +287,9 @@ def char_so_tableau_sum(lam: Partition, theta: int, h: float,
 
 
 def char_ratio_o(lam: Partition, theta: int, h_over_n: float) -> float:
-    """Normalized character ratio chi_lam(exp(tW))/dim at t = h/n.
-
-    theta = 2: cosh(t * lam_1) for one-row labels, 1 for the empty and
-    (1,1) labels.  theta = 3: the closed-form ratio
-    sinh(t (a + 1/2)) / sinh(t/2) * (1/2)/(a + 1/2) after reducing lam to a
-    one-row label (a) by a column flip.
-    """
+    """Normalized character ratio chi_lam(exp(tW))/dim at t = h/n, for theta
+    in {2, 3}: cosh(t lam_1), and sinh(t (a + 1/2)) / sinh(t/2) / (2a + 1)
+    for the one-row label (a) of lam at theta = 3."""
     if theta not in (2, 3):
         raise ValueError("char_ratio_o defined for theta in {2, 3}")
-    t = h_over_n
-    if theta == 2:
-        if lam.parts == () or lam.parts == (1, 1):
-            return 1.0
-        return math.cosh(t * lam[0])
-    lam2 = lam
-    if len(lam2) > 1:
-        lam2 = column_flip(lam2, 3)
-    if len(lam2) > 1:
-        raise ValueError(f"{lam!r} does not reduce to a one-row O(3) label")
-    a = lam2[0] if lam2 else 0
-    if t == 0.0:
-        return 1.0
-    return (
-        math.sinh(t * (a + 0.5)) / math.sinh(t / 2.0) * 0.5 / (a + 0.5)
-    )
+    return char_o_field(lam, theta, h_over_n) / dim_o(lam, theta)

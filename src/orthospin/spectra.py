@@ -64,7 +64,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import branching
-from .brauer import perfect_matchings
+from .brauer import pair_form, perfect_matchings
 from .group_chars import FieldDirection, char_o_field, dim_o
 from .partitions import LambdaRhoPair, Partition, line_invariants
 from .tableaux import dim_sn
@@ -216,14 +216,6 @@ def sector_basis(theta: int, n: int, keyed: bool = True) -> SectorBasis:
     local = np.empty(N, dtype=np.int64)
     local[np.argsort(sector, kind="stable")] = idx - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return SectorBasis(theta, n, digits, sector, local, sizes, charges)
-
-
-def pair_form(theta: int, flavor: str) -> np.ndarray:
-    """The bilinear form J of the flavor's pair vector sum_ab J_ab |a,b>:
-    the identity for Q, J_{i,theta-1-i} = (-1)^i for P."""
-    if flavor == "Q":
-        return np.eye(theta)
-    return np.fliplr(np.diag((-1.0) ** np.arange(theta)))
 
 
 def _pair_sums(basis: SectorBasis, partner: np.ndarray,

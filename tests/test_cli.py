@@ -211,6 +211,13 @@ def test_magnetization_command():
     assert float(payload["y1_down"]) > 0.5
 
 
+def test_magnetization_rejects_theta_below_two():
+    for theta in ("0", "1"):
+        res = run("magnetization", "--theta", theta, "--p1", "1", "--p2", "0")
+        assert res.exit_code == 2, theta
+        assert "NOT_PROVEN" not in res.output
+
+
 def test_phase_scan_rejects_a_mode_the_theta_does_not_take():
     # K couplings exist at theta=2 only and J couplings at theta=3 only
     for theta, mode in (("2", "J"), ("3", "K"), ("4", "K")):

@@ -108,6 +108,15 @@ def test_not_proven_region():
             maximize_phi(theta, L1, L2, h=h)
 
 
+def test_field_routes_reject_theta_below_two():
+    # bad input (ValueError, exit 2), not an unproven regime (exit 3)
+    for theta in (0, 1):
+        with pytest.raises(ValueError, match="theta >= 2"):
+            field_free_energy(theta, 1.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="theta >= 2"):
+            one_sided_derivatives(theta, 1.0, 0.0)
+
+
 def test_free_energy_values():
     assert free_energy(2, 0.0, 0.0) == pytest.approx(math.log(2.0))
     v = free_energy(3, 0.0, LOG16, mode="J")
@@ -211,22 +220,23 @@ def test_block_derivatives_match_central_differences():
     cases = 0
     for theta in (2, 3, 4, 5):
         for sizes in _compositions(theta):
-            for regime, couplings in Y_REGIMES.items():
+            # face: a fixed zero block follows, and the y bound reads g_0 - 0
+            for (regime, couplings), face in itertools.product(Y_REGIMES.items(), (False, True)):
                 L1 = float(rng.uniform(-1.0, 3.0))
                 # strictly decreasing block values with sum s_j g_j = 1
                 g = np.sort(rng.uniform(0.3, 1.0, len(sizes)))[::-1]
                 g[0] += 0.8
                 g /= np.dot(sizes, g)
-                L2, habs = couplings(g[0] - g[-1])
+                L2, habs = couplings(g[0] - (0.0 if face else g[-1]))
 
                 def blocks(free):
                     return [(1.0 - np.dot(sizes[1:], free)) / sizes[0]] + list(free)
 
                 def value(free):
-                    return fe._block_value(sizes, L1, L2, habs, blocks(free))
+                    return fe._block_value(sizes, L1, L2, habs, blocks(free), face)
 
                 def derivatives(free):
-                    return fe._block_derivatives(sizes, L1, L2, habs, blocks(free))
+                    return fe._block_derivatives(sizes, L1, L2, habs, blocks(free), face)
 
                 free = g[1:]
                 grad, hess = derivatives(free)
@@ -238,9 +248,9 @@ def test_block_derivatives_match_central_differences():
                     col = (np.array(derivatives(free + e)[0])
                            - np.array(derivatives(free - e)[0])) / (2 * eps)
                     assert np.allclose(np.array(hess)[:, j], col, rtol=1e-6, atol=1e-6), (
-                        sizes, regime, j)
+                        sizes, regime, face, j)
                 cases += 1
-    assert cases == 26 * len(Y_REGIMES)
+    assert cases == 2 * 26 * len(Y_REGIMES)
 
 
 def test_maximize_phi_against_fine_scan_theta2():
@@ -431,11 +441,15 @@ def test_low_temperature_maximiser_is_not_a_lower_stationary_point():
     _assert_maximisers_attain(3, 7.0, -14.0, 1.0, res)
 
 
-@pytest.mark.xfail(strict=True, reason="x_3 underflows; the best grid point stands in")
-def test_maximiser_on_an_underflowing_face():
-    # the maximum sits on the x_3 = 0 face: -500 t^2 - t log t - (1-t) log(1-t)
-    assert maximize_phi(3, 0.0, -1000.0).value == pytest.approx(0.019014976191190588,
-                                                                rel=1e-9)
+@pytest.mark.parametrize("L1, value", [(0.0, 0.019014976191190588),
+                                       (5.0, 2.5026386349514779)])
+def test_maximiser_on_an_underflowing_face(L1, value):
+    # x_3 ~ e^-1000 underflows, so the maximum sits on the x_3 = 0 face:
+    # (L1 (1-t)^2 - (1000 - L1) t^2) / 2 - t log t - (1-t) log(1-t) at x = (1-t, t, 0)
+    res = maximize_phi(3, L1, -1000.0)
+    assert res.value == pytest.approx(value, rel=1e-9)
+    (point,) = res.points
+    assert point.x[2] == 0.0 and point.y[0] == point.x[0]
 
 
 @settings(max_examples=100, deadline=None)

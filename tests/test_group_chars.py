@@ -10,10 +10,13 @@ from orthospin.group_chars import (
     dim_gl,
     dim_o,
     dim_so,
+    ortho_char_det,
 )
+from orthospin.group_chars import _group_eigenvalues
 from orthospin.partitions import (
     EMPTY,
     Partition,
+    admissible_lambda,
     column_flip,
     enumerate_lambda_rho,
     enumerate_partitions,
@@ -104,6 +107,20 @@ def test_char_tableau_sum_cross_check():
                     a = char_so_tableau_sum(lam, theta, h, direction)
                     b = char_o_field(lam, theta, h, direction)
                     assert a == pytest.approx(b, rel=1e-10), (theta, lam, h)
+
+
+def test_theta3_closed_form_matches_the_determinant():
+    # every theta=3 label is a one-row label (a) or its column flip
+    labels = [lam for size in range(13) for lam in enumerate_partitions(size, 3)
+              if admissible_lambda(lam, 3)]
+    assert {(1, 1), (1, 1, 1), (5, 1)} <= {lam.parts for lam in labels}
+    for lam in labels:
+        assert char_o_field(lam, 3, 0.0) == dim_o(lam, 3)
+        for w in (1.0, 0.4):
+            direction = FieldDirection(3, (w,))
+            for h in (-1.2, 0.35, 1.2):
+                det = ortho_char_det(lam, _group_eigenvalues(3, h, direction))
+                assert char_o_field(lam, 3, h, direction) == pytest.approx(det, rel=1e-12)
 
 
 def test_weyl_dimension_bound():
