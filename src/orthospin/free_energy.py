@@ -13,7 +13,12 @@ closed form; the x problem runs a dense grid scan over the ordered simplex
 followed by Newton refinement on groups of equal coordinates.  The Newton
 uses the analytic Hessian of the block-reduced objective, diagonal plus the
 curvature of the y term, reaches machine-precision stationarity and keeps
-repeated runs bit-identical.
+repeated runs bit-identical.  It ends where its direction does not ascend
+(an indefinite Hessian next to a saddle), and its final gradient check then
+decides.  The coupling-free grid pieces (sum x_i^2, sum x_i log x_i and
+x_1 - x_theta) are cached per (theta, step).  Tied maximisers come out with
+those at the top value up to rounding first, in descending lexicographic x,
+so the first one does not depend on the last bits of the couplings.
 
 The spin-1 boundary curve C runs on the same functional, grid and Newton:
 on the theta=3 ordered simplex with y_1 = x_1 - x_3 the wedge functional is
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +127,28 @@ def _sorted_simplex_grid(theta: int, step: float) -> np.ndarray:
     return np.array(rows, dtype=float) / m
 
 
+@lru_cache(maxsize=16)
+def _grid_pieces(theta: int, step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling-free parts of the objective on the grid: the grid, its
+    rows' sum x_i^2 and sum x_i log x_i (0 log 0 = 0), and Y = x_1 - x_theta.
+    Read-only, since the cache hands out the same arrays to every caller."""
+    xs = _sorted_simplex_grid(theta, step)
+    ent = np.where(xs > 0.0, xs * np.log(np.where(xs > 0.0, xs, 1.0)), 0.0)
+    pieces = (xs, np.sum(xs * xs, axis=1), np.sum(ent, axis=1), xs[:, 0] - xs[:, -1])
+    for arr in pieces:
+        arr.flags.writeable = False
+    return pieces
+
+
+def _grid_values(theta: int, step: float, L1: float, L2: float,
+                 habs: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid of step `step` and the objective phi + habs y_1 (y_1 at its
+    closed-form optimum) at each of its points."""
+    xs, sq, xlogx, Y = _grid_pieces(theta, step)
+    bonus, _ = _y_bonus(L2, habs, Y)
+    return xs, 0.5 * (L1 + L2) * sq - xlogx + bonus
+
+
 _GRID_STEP = {2: 1e-3, 3: 1e-3, 4: 0.01, 5: 0.02, 6: 0.025}
 # grid step of the curve-C predicate (theta = 3)
 _CURVE_C_STEP = 0.004
@@ -129,18 +156,6 @@ _CURVE_C_STEP = 0.004
 # symmetric point on J2 = 2 J1 - 3 it stops ~2e-5 away), so refined limits
 # closer than this in max-norm count as one maximiser
 _MERGE_DIST = 1e-3
-
-
-def _objective_factory(L1: float, L2: float, habs: float) -> Callable:
-    beta = L1 + L2
-
-    def f_vec(xs: np.ndarray) -> np.ndarray:
-        ent = np.where(xs > 0.0, xs * np.log(np.where(xs > 0.0, xs, 1.0)), 0.0)
-        base = 0.5 * beta * np.sum(xs * xs, axis=1) - np.sum(ent, axis=1)
-        bonus, _ = _y_bonus(L2, habs, xs[:, 0] - xs[:, -1])
-        return base + bonus
-
-    return f_vec
 
 
 def _group_pattern(x: Sequence[float]) -> List[int]:
@@ -236,6 +251,11 @@ def _grouped_newton(L1: float, L2: float, habs: float,
             step = np.linalg.solve(hess, grad).tolist()
         except np.linalg.LinAlgError:
             return None
+        if sum(gj * sj for gj, sj in zip(grad, step)) >= 0.0:
+            # the update free - scale*step does not ascend (the Hessian is
+            # indefinite): halving would only creep along within the rounding
+            # slack, so the gradient check below decides
+            break
         scale = 1.0
         for _ in range(30):
             cand = [f - scale * d for f, d in zip(free, step)]
@@ -275,9 +295,7 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     if theta not in (2, 3) and (L2 < 0.0 or h != 0.0):
         raise NotProvenError(f"free energy unknown for theta={theta}, L2={L2}, h={h}")
     habs = abs(h)
-    grid = _sorted_simplex_grid(theta, _GRID_STEP.get(theta, 0.05))
-    f_vec = _objective_factory(L1, L2, habs)
-    vals = f_vec(grid)
+    grid, vals = _grid_values(theta, _GRID_STEP.get(theta, 0.05), L1, L2, habs)
     best = float(np.max(vals))
     best_x = tuple(float(v) for v in grid[int(np.argmax(vals))])
     top = np.nonzero(vals >= best - 1e-4)[0]
@@ -331,8 +349,13 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     for val, xs in sorted(ties, key=lambda t: (t[0] < low, len(set(t[1])), -t[0])):
         if all(max(abs(a - b) for a, b in zip(xs, q)) > _MERGE_DIST for _, q in kept):
             kept.append((val, xs))
+    # the limits at the top value up to rounding first, in descending
+    # lexicographic x (their values differ by rounding only, so ordering them
+    # by value would let the last bits pick the first maximiser), then the
+    # rest by value
     points: List[SimplexPoint] = []
-    for _, xs in sorted(kept, key=lambda t: -t[0]):
+    for _, xs in sorted(kept, key=lambda t: (t[0] < low, -t[0] if t[0] < low else 0.0,
+                                             [-v for v in t[1]])):
         _, y = _y_bonus(L2, habs, xs[0] - xs[-1])
         ys = (y,) + (0.0,) * (theta - 1)
         points.append(SimplexPoint(xs, ys))
@@ -472,8 +495,7 @@ def in_disordered_region(J1: float, J2: float) -> bool:
         raise ValueError(f"the wedge J1 >= J2 is required, got J1={J1!r}, J2={J2!r}")
     L1, L2 = J1, J2 - J1
     bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
-    grid = _sorted_simplex_grid(3, _CURVE_C_STEP)
-    vals = _objective_factory(L1, L2, 0.0)(grid)
+    grid, vals = _grid_values(3, _CURVE_C_STEP, L1, L2, 0.0)
     order = np.argsort(vals)[::-1][:12]
     if vals[order[0]] > bar:
         return False

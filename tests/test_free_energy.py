@@ -496,3 +496,60 @@ def test_submodule_not_shadowed():
     assert isinstance(fe, types.ModuleType)
     assert orthospin.free_energy is fe
     assert fe.free_energy is free_energy
+
+
+def test_newton_stops_where_its_direction_does_not_ascend(monkeypatch):
+    # two starts of the curve-C predicate next to a saddle (Hessian
+    # eigenvalues ~ (-2.5, +1e-4)) on the straight piece J2 = 2 J1 - 3: the
+    # Newton direction there does not ascend, and creeping along it within
+    # the rounding slack took all 80 iterations
+    calls = []
+    block_derivatives = fe._block_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return block_derivatives(*args, **kwargs)
+
+    monkeypatch.setattr(fe, "_block_derivatives", counted)
+    for L1, L2 in ((2.1, -0.8996093753574219), (2.1745098580266427, -0.8251952791938626)):
+        calls.clear()
+        assert fe._grouped_newton(L1, L2, 0.0, (0.356, 0.332, 0.312)) is None
+        assert len(calls) <= 5, (L1, L2, len(calls))
+
+
+def _y_star(L2, habs, Y):
+    """argmax of -(L2/2) y^2 + habs y over [0, Y]: an end point or the
+    stationary point habs / L2."""
+    cands = [0.0, Y] + ([habs / L2] if L2 != 0.0 and 0.0 < habs / L2 < Y else [])
+    return max(cands, key=lambda y: -(0.5 * L2) * y * y + habs * y)
+
+
+def test_grid_values_are_phi_plus_the_y_bonus():
+    rng = np.random.default_rng(11)
+    for theta, step in ((2, 1e-3), (3, 1e-3), (4, 0.01), (3, 0.004)):
+        for (L1, L2), habs in itertools.product(((1.3, 0.4), (2.5, -1.7), (-0.8, 2.2)),
+                                                (0.0, 0.7)):
+            grid, vals = fe._grid_values(theta, step, L1, L2, habs)
+            assert grid is fe._sorted_simplex_grid(theta, step)
+            for i in rng.choice(len(grid), 50, replace=False):
+                x = tuple(float(v) for v in grid[i])
+                y = _y_star(L2, habs, x[0] - x[-1])
+                want = phi(theta, L1, L2, SimplexPoint(x, (y,) + (0.0,) * (theta - 1))) + habs * y
+                assert abs(vals[i] - want) < 1e-12, (theta, step, L1, L2, habs, x)
+
+
+def test_tied_maximisers_keep_their_order_under_ulp_shifts():
+    # at L1 + L2 = beta_c the ordered and symmetric maximisers tie, and
+    # their values differ by rounding only: the first maximiser must not
+    # depend on the last bits of the couplings
+    for theta, L2 in itertools.product((4, 5), (0.0, 0.5)):
+        L1 = beta_c(theta) - L2
+        firsts = set()
+        for k in range(-3, 4):
+            shifted = L1
+            for _ in range(abs(k)):
+                shifted = math.nextafter(shifted, math.copysign(math.inf, k))
+            res = maximize_phi(theta, shifted, L2)
+            assert len(res.points) == 2, (theta, L2, k)
+            firsts.add(round(res.points[0].x[0], 6))
+        assert len(firsts) == 1, (theta, L2, firsts)
