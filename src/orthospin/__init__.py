@@ -16,7 +16,6 @@ from .partitions import (
 )
 from .tableaux import cell_branching, dim_sn, lr_coefficient
 from .group_chars import (
-    FieldDirection,
     char_o_field,
     char_ratio_o,
     dim_gl,

@@ -29,7 +29,8 @@ from .free_energy import (
     one_sided_derivatives,
     trace_curve_C,
 )
-from .partitions import format_partition
+from .group_chars import dim_gl
+from .partitions import enumerate_partitions, format_partition
 
 SCHEMA = 1
 
@@ -337,12 +338,16 @@ def _positive_finite(ctx, param, value: float) -> float:
 @click.option("--n", type=_COUNT, required=True)
 @click.option("--oracle", is_flag=True, default=False)
 def verify_schur_weyl(theta, n, oracle):
-    total = sum(d_o * b * d_sn for _, b, d_o, d_sn in _line_table(n, theta, oracle).rows())
-    ok = total == theta**n
-    _echo_json(
-        {"command": "verify schur-weyl", "theta": theta, "n": n,
-         "multiplicity_sum": total, "expected": theta**n, "ok": ok}
-    )
+    """sum of d_O b d_Sn over the lines is theta^n, and for every rho the
+    restriction sum of b d_O(lambda) is dim_gl(rho, theta)."""
+    total, restricted = 0, dict.fromkeys(enumerate_partitions(n, theta), 0)
+    for pair, b, d_o, d_sn in _line_table(n, theta, oracle).rows():
+        total += d_o * b * d_sn
+        restricted[pair.rho] += b * d_o
+    failed = [format_partition(rho) for rho, d in restricted.items() if d != dim_gl(rho, theta)]
+    ok = total == theta**n and not failed
+    _echo_json({"command": "verify schur-weyl", "theta": theta, "n": n, "multiplicity_sum": total,
+                "expected": theta**n, "ok": ok, **({"failed_rho": failed} if failed else {})})
     sys.exit(0 if ok else 1)
 
 

@@ -1,61 +1,48 @@
 """Dimensions and characters of O(theta), SO(theta) and GL(theta).
 
-Dimensions come from Weyl's product formulas, evaluated in exact rational
-arithmetic.  Characters of O(theta) at group elements exp(h W), W skew
-symmetric, at x = h w_1:
+Dimensions come from Weyl's product formulas, evaluated in exact integer
+arithmetic.  Characters of O(theta) are taken at exp(hW), where W (the
+field matrix default_w of spectra) has the eigenvalues 1, -1 and theta - 2
+zeros, by one rule at every theta:
 
-* theta = 2, 3 in closed form: 2 cosh(a x) for the one-row label (a) at
-  theta = 2 (1 for the empty and (1,1) labels), and the spin-a character
-  sinh((a + 1/2) x) / sinh(x / 2) at theta = 3, where every label is a
-  one-row label (a) or its column flip;
-* theta >= 4 by the orthogonal Jacobi-Trudi determinant
-      chi_lam = det( h_{lam_i - i + j} - h_{lam_i - i - j} )
-  in complete homogeneous symmetric functions of the theta eigenvalues of
-  the group element (at h = 0 it reduces to exact integer arithmetic,
-  giving a dimension check independent of the Weyl products);
-* King's tableau sum for the SO(2r+1) character is the cross-check of both
-  at odd theta.
+* the weight multiplicities c_m (m = -M..M) of W on the irreducible lam are
+  the integer coefficients in q = e^h of the orthogonal Jacobi-Trudi
+  determinant (K. Koike and I. Terada, J. Algebra 107 (1987) 466)
+      chi_lam = det( h_{lam_i - i + j} - h_{lam_i - i - j} )          (l(lam) square)
+              = det( e_{lam'_i - i + j} + e_{lam'_i - i - j + 2} ) / 2  (lam_1 square)
+  with h_k and e_k the complete and elementary symmetric polynomials in the
+  theta eigenvalues q, 1/q, 1, ..., 1, built for all the labels of a line
+  table at once.  A label with more than theta // 2 rows is column-flipped
+  first (chi_{lam*} = det(g) chi_lam, and det exp(hW) = 1); each label takes
+  the form whose Laplace expansion is cheaper (m 2^(m-1) products at size
+  m, of entries with 2 (lam_1 + l(lam)) - 1 coefficients in the h-form and 3
+  in the e-form), and its weights must sum to the Weyl dimension;
+* chi_lam(exp(hW)) = sum_m c_m e^{mh} is evaluated as
+      log chi = M |h| + log sum_j c_{M-j} e^{-j |h|},
+  a sum of positive terms that neither cancels nor overflows.
+
+King's tableau sum for the SO(2r+1) character cross-checks the weights at
+odd theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
-from .partitions import Partition, admissible_lambda, column_flip, first_two_columns
+import numpy as np
 
-
-@dataclass(frozen=True)
-class FieldDirection:
-    """Positive half of the spectrum of a skew-symmetric field matrix W.
-
-    weights holds w_1 >= ... >= w_r >= 0 with r = floor(theta/2); the full
-    spectrum of W is the weights, their negatives, and 0 when theta is odd.
-    """
-
-    theta: int
-    weights: Tuple[float, ...]
-
-    def __post_init__(self):
-        r = self.theta // 2
-        if len(self.weights) != r:
-            raise ValueError(f"need {r} weights for theta={self.theta}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if any(self.weights[i] < self.weights[i + 1] for i in range(r - 1)):
-            raise ValueError("weights must be sorted descending")
-
-    @classmethod
-    def default(cls, theta: int) -> "FieldDirection":
-        r = theta // 2
-        return cls(theta, (1.0,) + (0.0,) * (r - 1) if r else ())
+from .partitions import Partition, column_flip, first_two_columns, transpose
 
 
-def _check_rows(lam: Partition, r: int, theta: int) -> None:
-    if len(lam) > r:
-        raise ValueError(f"{lam!r} has more than {r} parts; invalid for SO({theta})")
+def _positive_quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be a positive integer (ArithmeticError otherwise)."""
+    q, rest = divmod(num, den)
+    if rest or q <= 0:
+        raise ArithmeticError(f"{what} not a positive integer: {num}/{den}")
+    return q
 
 
 def dim_so(lam: Partition, theta: int) -> int:
@@ -64,28 +51,21 @@ def dim_so(lam: Partition, theta: int) -> int:
     theta odd:  l_i = lam_i + r - i + 1/2, m_i = r - i + 1/2 and an extra
     product of l_i/m_i; theta even: l_i = lam_i + r - i, m_i = r - i.
     """
-    r = theta // 2
-    _check_rows(lam, r, theta)
-    if r == 0:
-        return 1
-    if theta % 2 == 1:
-        # l_i = lam_i + r - i + 1/2, m_i = r - i + 1/2 (1-based i), doubled
-        l = [2 * lam[i] + 2 * (r - i) - 1 for i in range(r)]
-        m = [2 * (r - i) - 1 for i in range(r)]
-    else:
-        # l_i = lam_i + r - i, m_i = r - i (1-based i)
-        l = [lam[i] + (r - i - 1) for i in range(r)]
-        m = [(r - i - 1) for i in range(r)]
-    d = Fraction(1)
+    r, odd = divmod(theta, 2)
+    if len(lam) > r:
+        raise ValueError(f"{lam!r} has more than {r} parts; invalid for SO({theta})")
+    # l_i and m_i for 0-based i, doubled at odd theta
+    l = [(1 + odd) * (lam[i] + r - i - 1) + odd for i in range(r)]
+    m = [(1 + odd) * (r - i - 1) + odd for i in range(r)]
+    num = den = 1
     for i in range(r):
         for j in range(i + 1, r):
-            d *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    if theta % 2 == 1:
-        for i in range(r):
-            d *= Fraction(l[i], m[i])
-    if d.denominator != 1 or d <= 0:
-        raise ArithmeticError(f"Weyl product not a positive integer: {d}")
-    return int(d)
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= m[i] ** 2 - m[j] ** 2
+        if odd:
+            num *= l[i]
+            den *= m[i]
+    return _positive_quotient(num, den, "Weyl product")
 
 
 def dim_o(lam: Partition, theta: int) -> int:
@@ -111,156 +91,171 @@ def dim_gl(rho: Partition, theta: int) -> int:
     """Weyl dimension of the polynomial GL(theta) irreducible labelled rho."""
     if len(rho) > theta:
         raise ValueError(f"{rho!r} has more than theta={theta} parts")
-    d = Fraction(1)
+    num = den = 1
     for i in range(theta):
         for j in range(i + 1, theta):
-            d *= Fraction(rho[i] - rho[j] + j - i, j - i)
-    if d.denominator != 1:
-        raise ArithmeticError(f"GL Weyl product not an integer: {d}")
-    return int(d)
+            num *= rho[i] - rho[j] + j - i
+            den *= j - i
+    return _positive_quotient(num, den, "GL Weyl product")
 
 
 # ---------------------------------------------------------------------------
 # characters at exp(h W)
 
-def _group_eigenvalues(theta: int, h: float, direction: FieldDirection):
-    """Eigenvalue multiset of exp(h W): exp(+-h w_i), plus 1 when theta odd."""
-    vals: List[float] = []
-    for w in direction.weights:
-        vals.append(math.exp(h * w))
-        vals.append(math.exp(-h * w))
-    if theta % 2 == 1:
-        vals.append(1.0)
-    return vals
+def _parity_sums(theta: int, kmax: int) -> np.ndarray:
+    """P[s] for s = 0..kmax, the coefficient of q^m in h_k(q, 1/q, 1^(theta-2))
+    at s = k - |m| (and 0 for s < 0), as Python ints.
 
-
-def _complete_homogeneous(values: Sequence, kmax: int) -> list:
-    """h_0..h_kmax of the given values; exact when the values are ints."""
-    one = 1 if all(isinstance(v, int) for v in values) else 1.0
-    h = [one] + [0 * one] * kmax
-    for x in values:
-        for k in range(1, kmax + 1):
-            h[k] = h[k] + x * h[k - 1]
-    return h
-
-
-def _det(mat: List[List]) -> object:
-    """Determinant by Gaussian elimination; exact for integer input."""
-    m = len(mat)
-    if m == 0:
-        return 1
-    exact = all(isinstance(x, int) for row in mat for x in row)
-    if exact:
-        a = [[Fraction(x) for x in row] for row in mat]
-    else:
-        a = [[float(x) for x in row] for row in mat]
-    det = Fraction(1) if exact else 1.0
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return 0 if exact else 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] / inv
-            for c in range(col, m):
-                a[r][c] = a[r][c] - f * a[col][c]
-    if exact:
-        if det.denominator != 1:
-            raise ArithmeticError("exact determinant not an integer")
-        return int(det)
-    return det
-
-
-def ortho_char_det(lam: Partition, eigenvalues: Sequence) -> object:
-    """Universal orthogonal character det(h_{lam_i-i+j} - h_{lam_i-i-j})
-    evaluated at the given group-element eigenvalues.
-
-    Equals the irreducible O(theta) character when the first two columns of
-    lam sum to at most theta (theta = number of eigenvalues).
+    A monomial whose (q, 1/q) part has degree j >= |m|, j = m mod 2, holds
+    q^m once, and the theta - 2 ones take the remaining degree i = k - j in
+    C(i + theta - 3, theta - 3) ways, the (theta - 2)-fold prefix sums of
+    the unit sequence; P sums those counts over i = s, s - 2, ..., 0 or 1.
     """
-    m = len(lam)
-    if m == 0:
-        return 1 if all(isinstance(v, int) for v in eigenvalues) else 1.0
-    kmax = lam[0] + m
-    h = _complete_homogeneous(eigenvalues, kmax)
-
-    def hk(k: int):
-        if k < 0:
-            return 0
-        return h[k]
-
-    mat = [
-        [hk(lam[i] - (i + 1) + (j + 1)) - hk(lam[i] - (i + 1) - (j + 1)) for j in range(m)]
-        for i in range(m)
-    ]
-    return _det(mat)
+    ways = np.zeros(kmax + 1, dtype=object)
+    ways[0] = 1
+    for _ in range(theta - 2):
+        ways = np.cumsum(ways)
+    for parity in (0, 1):
+        ways[parity::2] = np.cumsum(ways[parity::2])
+    return ways
 
 
-def char_o_field(lam: Partition, theta: int, h: float,
-                 direction: Optional[FieldDirection] = None) -> float:
-    """Character of the O(theta) irreducible lam at exp(h W).
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of two batches of polynomials (coefficient rows),
+    one shifted product per coefficient of the narrower."""
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
+    for k in range(a.shape[1]):
+        out[:, k:k + b.shape[1]] += a[:, k:k + 1] * b
+    return out
 
-    W is encoded by its positive spectrum half (direction); the default has
-    w = (1, 0, ...).  Closed forms at theta = 2, 3 (module docstring), the
-    orthogonal Jacobi-Trudi determinant for theta >= 4.
+
+def _det(mat: np.ndarray) -> np.ndarray:
+    """Determinants of a batch (L, m, m, w) of polynomial matrices, m >= 1:
+    (L, m (w - 1) + 1) coefficients.  Laplace expansion from the last row
+    up, each minor on a set of columns formed once: m 2^(m-1) products."""
+    m = mat.shape[1]
+    minors = {(j,): mat[:, m - 1, j] for j in range(m)}
+    for r in range(m - 2, -1, -1):
+        minors = {cols: sum((-1) ** p * _convolve(mat[:, r, j], minors[cols[:p] + cols[p + 1:]])
+                            for p, j in enumerate(cols))
+                  for cols in combinations(range(m), m - r)}
+    return minors[tuple(range(m))]
+
+
+@dataclass(frozen=True)
+class WeightTable:
+    """The weight multiplicities of W on a list of O(theta) labels.
+
+    dims holds the Weyl dimensions (exact ints) and top the highest weight
+    M of each label; the nonzero multiplicities are stacked: entry i gives
+    label row[i] the weight top[row[i]] - depth[i] with multiplicity
+    mult[i] (integers, held as floats for the evaluation).
     """
-    if not admissible_lambda(lam, theta):
-        raise ValueError(f"{lam!r} not an O({theta}) label")
-    if direction is None:
-        direction = FieldDirection.default(theta)
-    if direction.theta != theta:
-        raise ValueError("direction/theta mismatch")
-    if theta == 2:
-        if lam.parts == () or lam.parts == (1, 1):
-            return 1.0
-        a = lam[0]
-        w1 = direction.weights[0]
-        return math.exp(h * a * w1) + math.exp(-h * a * w1)
-    if theta == 3:
-        a = (column_flip(lam, 3) if len(lam) > 1 else lam).size
-        x = abs(h * direction.weights[0])
-        if x == 0.0:
-            return float(2 * a + 1)
-        # sinh((a + 1/2) x) / sinh(x / 2), which overflows only with its value
-        return math.exp(a * x) * math.expm1(-(2 * a + 1) * x) / math.expm1(-x)
-    if h == 0.0:
-        return float(ortho_char_det(lam, [1] * theta))
-    return float(ortho_char_det(lam, _group_eigenvalues(theta, h, direction)))
+
+    dims: Tuple[int, ...]
+    top: np.ndarray
+    row: np.ndarray
+    depth: np.ndarray
+    mult: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.top, self.row, self.depth, self.mult):
+            a.setflags(write=False)  # tables are cached and shared
+
+    def scaled_chars(self, h: float) -> np.ndarray:
+        """chi_lam(exp(hW)) e^{-M|h|} = sum_j c_{M-j} e^{-j|h|} per label."""
+        terms = self.mult * np.exp(-abs(h) * self.depth)
+        return np.bincount(self.row, terms, minlength=len(self.top))
+
+    def log_chars(self, h: float) -> np.ndarray:
+        """log chi_lam(exp(hW)) per label, finite at every finite h; the log
+        of the Weyl dimension at h = 0."""
+        if h == 0.0:
+            return np.log(np.array(self.dims, dtype=float))
+        return abs(h) * self.top + np.log(self.scaled_chars(h))
 
 
-def char_so_tableau_sum(lam: Partition, theta: int, h: float,
-                        direction: Optional[FieldDirection] = None) -> float:
+def weight_table(lams: Sequence[Partition], theta: int) -> WeightTable:
+    """The weight multiplicities of W on the O(theta) labels lams: the
+    coefficients in q of the orthogonal Jacobi-Trudi determinant (module
+    docstring), exact in Python ints.  Labels are batched by form and size,
+    the empty label as (0).  ValueError for a label that is not an O(theta)
+    label, ArithmeticError when a label's weights do not sum to its dimension.
+    """
+    dims = tuple(dim_o(lam, theta) for lam in lams)
+    parts: List[Tuple[int, ...]] = []
+    groups: Dict[Tuple[bool, int], List[int]] = {}
+    for i, lam in enumerate(lams):
+        lam = column_flip(lam, theta) if len(lam) > theta // 2 else lam
+        length, first = len(lam), lam[0]  # the form whose expansion takes fewer products
+        dual = first * 2**first * 3 < length * 2**length * (2 * (first + length) - 1)
+        parts.append(transpose(lam).parts if dual else lam.parts or (0,))
+        groups.setdefault((dual, len(parts[-1])), []).append(i)
+    kmax = max(p[0] + len(p) - 1 for p in parts)  # the largest index of an h_k or e_k
+    pad = kmax + 2 * max(len(p) for p in parts) + 1  # both tables read 0 below index 0
+    h_coeffs = np.concatenate([np.zeros(pad, dtype=object), _parity_sums(theta, kmax)])
+    # e_a(q, 1/q, 1^(theta-2)) = C(a) + C(a-2) + (q + 1/q) C(a-1), C(i) = C(theta-2, i)
+    c = np.zeros(pad + kmax + 3, dtype=object)
+    c[pad + 2:] = [math.comb(theta - 2, i) for i in range(kmax + 1)]
+    e_coeffs = np.stack([c[1:-1], c[2:] + c[:-2], c[1:-1]], axis=1)
+    top, row, depth, mult = np.zeros(len(lams)), [], [], []
+    for (dual, size), batch in groups.items():
+        batch = np.array(batch)
+        cols = np.arange(size)
+        start = (pad + np.array([parts[i] for i in batch]) - cols)[:, :, None]
+        if dual:
+            poly = _det(e_coeffs[start + cols] + e_coeffs[start - cols]) // 2
+        else:
+            k = max(parts[i][0] for i in batch) + size - 1  # the widest label of the batch
+            offsets = np.abs(np.arange(-k, k + 1))
+            poly = _det(h_coeffs[(start + cols)[..., None] - offsets]
+                        - h_coeffs[(start - cols - 2)[..., None] - offsets])
+        for i, total in zip(batch.tolist(), poly.sum(axis=1).tolist()):
+            if total != dims[i]:
+                raise ArithmeticError(f"weights of {lams[i]!r} sum to {total}, not {dims[i]}")
+        lead = (poly != 0).argmax(axis=1)
+        top[batch] = (poly.shape[1] - 1) // 2 - lead
+        at, col = np.nonzero(poly != 0)
+        row.append(batch[at])
+        depth.append(col - lead[at])
+        mult.append(poly[at, col])
+    return WeightTable(
+        dims, top,
+        row=np.concatenate(row),
+        depth=np.concatenate(depth).astype(float),
+        mult=np.concatenate(mult).astype(float),
+    )
+
+
+def char_o_field(lam: Partition, theta: int, h: float) -> float:
+    """Character of the O(theta) irreducible lam at exp(hW); OverflowError
+    past the double range, where WeightTable.log_chars still holds."""
+    table = weight_table([lam], theta)
+    return math.exp(abs(h) * table.top[0]) * float(table.scaled_chars(h)[0])
+
+
+def char_so_tableau_sum(lam: Partition, theta: int, h: float) -> float:
     """Orthogonal-tableau sum for the SO(theta) character, theta odd.
 
-    Sums exp(h * sum_i w_i (m_i - m_ibar)) over tableaux of shape lam in the
+    Sums exp(h (m_1 - m_1bar)) over tableaux of shape lam in the
     alphabet 1 < 1bar < ... < r < rbar < inf (King/Sundaram model): rows
     weakly increase with at most one inf per row, columns strictly increase
     except that inf may repeat down a column, and the entries of row i are
-    at least i.  Cross-checks the determinant route.
+    at least i.  Cross-checks the weight tables.
     """
     if theta % 2 != 1:
         raise ValueError("orthogonal tableau sum implemented for odd theta only")
     r = theta // 2
     if len(lam) > r:
         raise ValueError(f"{lam!r} has more than r={r} rows")
-    if direction is None:
-        direction = FieldDirection.default(theta)
-    weights = direction.weights
     inf_sym = 2 * r  # symbols 0..2r-1 are 1,1bar,...,r,rbar
     rows = lam.parts
     total = 0.0
     grid: dict = {}
 
-    def weight_exp(sym: int) -> float:
-        if sym == inf_sym:
-            return 0.0
-        i, barred = divmod(sym, 2)
-        return -h * weights[i] if barred else h * weights[i]
-
+    weight = {0: h, 1: -h}  # the letters 1 and 1bar; the rest weigh 0
     cells = [(i, j) for i in range(len(rows)) for j in range(rows[i])]
 
     def fill(idx: int, acc_exp: float) -> None:
@@ -274,7 +269,7 @@ def char_so_tableau_sum(lam: Partition, theta: int, h: float,
         lo = max(left, above + 1, 2 * i)
         for sym in range(lo, inf_sym):
             grid[(i, j)] = sym
-            fill(idx + 1, acc_exp + weight_exp(sym))
+            fill(idx + 1, acc_exp + weight.get(sym, 0.0))
             del grid[(i, j)]
         # the inf letter: repeats down columns but at most once per row
         if left != inf_sym and inf_sym >= 2 * i:

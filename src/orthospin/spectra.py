@@ -39,11 +39,13 @@ Character route
 z_decomposed sums over the positive lines (lambda, k, rho) of
 enumerate_Pn, whose b is exact at every theta.  One cached LineTable per
 (n, theta) holds what does not depend on the couplings: the pairs with
-their b and d_Sn = dim_sn(rho), an index into the distinct lambda with
-d_O = dim_o(lambda), log(b d_Sn), and the line invariants of
-partitions.line_invariants, which line_eigenvalue, the one copy of the line
-formula, turns into eigenvalues.  A call evaluates one log-character per
-distinct lambda (log d_O at h = 0) and takes a numpy log-sum-exp over the
+their b and d_Sn = dim_sn(rho), an index into the distinct lambda, the
+weight table of those lambda (group_chars.weight_table: d_O = dim_o(lambda)
+and the integer weight multiplicities of W = default_w(theta)), log(b d_Sn),
+and the line invariants of partitions.line_invariants, which
+line_eigenvalue, the one copy of the line formula, turns into eigenvalues.
+A call evaluates every log-character in one vectorised step (log d_O at
+h = 0), finite at every finite h, and takes a numpy log-sum-exp over the
 lines.  spectral_lines and the command line's branching and schur-weyl
 output read the same table; their --oracle check passes the positive
 lines of the dense spectral extraction to the same builder, uncached.
@@ -65,7 +67,7 @@ import numpy as np
 
 from . import branching
 from .brauer import pair_form, perfect_matchings
-from .group_chars import FieldDirection, char_o_field, dim_o
+from .group_chars import WeightTable, weight_table
 from .partitions import LambdaRhoPair, Partition, line_invariants
 from .tableaux import dim_sn
 
@@ -389,16 +391,17 @@ def convert_parameters(mode: str, p1: float, p2: float,
 class LineTable:
     """The coupling-independent data of the positive lines (lambda, k, rho).
 
-    Exact ints per line (b, d_Sn) and per distinct lambda (d_O), plus the
-    float arrays the line sum reads: log(b d_Sn), c(rho) and
-    c(lambda) + k(1 - theta) per line, and each line's index into lams.
+    Exact ints per line (b, d_Sn), the weight table of the distinct lambda
+    (with their d_O), plus the float arrays the line sum reads:
+    log(b d_Sn), c(rho) and c(lambda) + k(1 - theta) per line, and each
+    line's index into lams.
     """
 
     pairs: Tuple[LambdaRhoPair, ...]
     b: Tuple[int, ...]
     d_sn: Tuple[int, ...]
     lams: Tuple[Partition, ...]
-    d_o: Tuple[int, ...]
+    weights: WeightTable
     lam_index: np.ndarray
     log_weight: np.ndarray
     c_rho: np.ndarray
@@ -410,27 +413,29 @@ class LineTable:
 
     def rows(self) -> Iterator[Tuple[LambdaRhoPair, int, int, int]]:
         """(pair, b, d_O, d_Sn) per line, in enumeration order."""
-        d_o = [self.d_o[i] for i in self.lam_index.tolist()]
+        d_o = [self.weights.dims[i] for i in self.lam_index.tolist()]
         return zip(self.pairs, self.b, d_o, self.d_sn)
 
 
 def build_line_table(pn: Sequence[Tuple[LambdaRhoPair, int]], theta: int) -> LineTable:
-    """The line table of the positive lines pn, in their order; d_O and
-    d_Sn are computed once per distinct lambda and rho."""
+    """The line table of the positive lines pn, in their order; the
+    weights with d_O, and d_Sn, are computed once per distinct lambda and
+    rho."""
     lam_of: Dict[Partition, int] = {}
     d_sn_of: Dict[Partition, int] = {}
+    lam_index, d_sn = [], []
     for pair, _ in pn:
-        lam_of.setdefault(pair.lam, len(lam_of))
+        lam_index.append(lam_of.setdefault(pair.lam, len(lam_of)))
         if pair.rho not in d_sn_of:
             d_sn_of[pair.rho] = dim_sn(pair.rho)
+        d_sn.append(d_sn_of[pair.rho])
     pairs = tuple(pair for pair, _ in pn)
     b = tuple(b for _, b in pn)
-    d_sn = tuple(d_sn_of[p.rho] for p in pairs)
     c_rho, c_lam = (np.array(v, dtype=float)
                     for v in zip(*(line_invariants(p, theta) for p in pairs)))
     return LineTable(
-        pairs, b, d_sn, tuple(lam_of), tuple(dim_o(lam, theta) for lam in lam_of),
-        lam_index=np.array([lam_of[p.lam] for p in pairs], dtype=np.intp),
+        pairs, b, tuple(d_sn), tuple(lam_of), weight_table(tuple(lam_of), theta),
+        lam_index=np.array(lam_index, dtype=np.intp),
         log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
         c_rho=c_rho, c_lam=c_lam,
     )
@@ -476,7 +481,9 @@ def z_direct(spec: HamiltonianSpec) -> float:
     same blocks; W must preserve the flavor's pair form.  Each +-q pair of
     sectors is solved once and enters with the weight
     log(exp(h q.y) + exp(-h q.y)); the F-even and F-odd halves of q = 0
-    each enter with weight 1.
+    each enter with weight 1.  Only the default W = default_w(theta) has a
+    character-route counterpart (z_decomposed); a scaled s W at h is the
+    default W at s h.
     """
     _check_cap(spec.theta, spec.n)
     charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
@@ -490,19 +497,18 @@ def z_direct(spec: HamiltonianSpec) -> float:
 
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
-                 direction: Optional[FieldDirection] = None,
                  flavor: str = "Q") -> float:
     """Character-sum partition function over the positive branching lines.
 
     Each line contributes chi_lam(exp(hW)) * b * dim_sn(rho) * exp(-E/n),
-    with the character replaced by the plain dimension at h = 0; the sum
-    runs in the log domain over line_table(n, theta), with one character
-    per distinct lambda.  The lines are those of flavor Q, which is
-    unitarily equivalent to P at odd theta; at theta = 2, P = 1 - T gives
+    W = default_w(theta), with the character replaced by the plain
+    dimension at h = 0; the sum runs in the log domain over
+    line_table(n, theta), whose weight table gives every log-character in
+    one step.  The lines are those of flavor Q, which is unitarily
+    equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
     has no lines here.  Raises ValueError for an unknown flavor, when a
-    coupling is not finite, or when Z or a character is not a positive
-    finite double.
+    coupling is not finite, or when Z is not a positive finite double.
     """
     require_flavor(flavor)
     require_finite(L1=L1, L2=L2, h=h)
@@ -512,19 +518,7 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
         log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
     table = line_table(n, theta)
-    if h == 0.0:
-        log_chi = np.log(np.array(table.d_o, dtype=float))
-    else:
-        if direction is None:
-            direction = FieldDirection.default(theta)
-        try:
-            chi = np.array([char_o_field(lam, theta, h, direction) for lam in table.lams])
-        except OverflowError:
-            chi = np.array([math.inf])
-        if not np.all((chi > 0.0) & (chi < math.inf)):
-            raise ValueError(f"a character at h={h!r} is not a positive finite double")
-        log_chi = np.log(chi)
-    exponents = (log_chi[table.lam_index] + table.log_weight
+    exponents = (table.weights.log_chars(h)[table.lam_index] + table.log_weight
                  - line_eigenvalue(table.c_rho, table.c_lam, L1, L2) / n)
     return _z_from_log(log_shift + _logsumexp(exponents))
 

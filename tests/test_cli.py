@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -116,6 +118,54 @@ def test_overflow_exits_2():
     assert "log Z = 1774.11" in res.output
 
 
+def _mp_log_z(theta, n, L1, L2, h):
+    """log Z in 40-digit arithmetic: the lines of enumerate_Pn with the
+    closed-form characters 2 cosh(a h) (theta = 2) and
+    sinh((a + 1/2) h) / sinh(h / 2) (theta = 3, a the one-row label)."""
+    from orthospin.branching import enumerate_Pn
+    from orthospin.partitions import column_flip, line_invariants
+    from orthospin.tableaux import dim_sn
+
+    mpmath.mp.dps = 40
+    h = mpmath.mpf(h)
+    total = mpmath.mpf(0)
+    for pair, b in enumerate_Pn(n, theta):
+        lam = pair.lam
+        if theta == 2:
+            chi = 2 * mpmath.cosh(lam[0] * h) if len(lam) == 1 else mpmath.mpf(1)
+        else:
+            a = (column_flip(lam, 3) if len(lam) > 1 else lam).size
+            chi = mpmath.sinh((a + mpmath.mpf(1) / 2) * h) / mpmath.sinh(h / 2)
+        c_rho, c_lam = line_invariants(pair, theta)
+        energy = -((L1 + L2) * c_rho - L2 * c_lam)
+        total += chi * b * dim_sn(pair.rho) * mpmath.exp(-mpmath.mpf(energy) / n)
+    return mpmath.log(total)
+
+
+@pytest.mark.parametrize("theta,n,p1,h", [(2, 100, -16, 8), (3, 60, -20, 13)])
+def test_zchar_past_the_character_float_range(theta, n, p1, h):
+    # the characters overflow a double while Z does not
+    res = run("zchar", "--theta", str(theta), "--n", str(n), "--p1", str(p1),
+              "--p2", "0", "--h", str(h))
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    log_z = _mp_log_z(theta, n, p1, 0, h)
+    assert out["Z"] == pytest.approx(float(mpmath.exp(log_z)), rel=1e-12, abs=0.0)
+    assert out["log_Z_over_n"] == pytest.approx(float(log_z / n), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "schur-weyl", "--theta", "20", "--n", "3"),
+    ("zchar", "--theta", "20", "--n", "4", "--p1", "0.3", "--p2", "0.1", "--h", "1.5"),
+])
+def test_large_theta_small_n_is_quick(args):
+    # a label's determinant has at most |lambda| rows or columns, whatever theta
+    start = time.perf_counter()
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert time.perf_counter() - start < 1.0
+
+
 def test_free_energy_rejects_non_finite():
     for p1 in ("inf", "nan"):
         res = run("free-energy", "--theta", "2", "--p1", p1, "--p2", "0")
@@ -166,6 +216,20 @@ def test_verify_schur_weyl():
     assert res.exit_code == 0
     res = run("verify", "schur-weyl", "--theta", "4", "--n", "8")  # past the dense cap
     assert res.exit_code == 0
+
+
+def test_verify_schur_weyl_checks_every_rho(monkeypatch):
+    # one wrong GL(theta) dimension fails the per-rho identity while the
+    # total sum still holds
+    from orthospin import cli
+
+    real = cli.dim_gl
+    monkeypatch.setattr(cli, "dim_gl", lambda rho, theta: real(rho, theta) + (rho.parts == (4, 2)))
+    res = run("verify", "schur-weyl", "--theta", "3", "--n", "6")
+    assert res.exit_code == 1
+    out = json.loads(res.output)
+    assert out["multiplicity_sum"] == out["expected"] == 3**6
+    assert not out["ok"] and out["failed_rho"] == ["[4,2]"]
 
 
 def test_verify_homomorphism():

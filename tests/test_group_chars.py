@@ -1,18 +1,18 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthospin.group_chars import (
-    FieldDirection,
     char_o_field,
     char_ratio_o,
     char_so_tableau_sum,
     dim_gl,
     dim_o,
     dim_so,
-    ortho_char_det,
+    weight_table,
 )
-from orthospin.group_chars import _group_eigenvalues
 from orthospin.partitions import (
     EMPTY,
     Partition,
@@ -97,30 +97,104 @@ def test_char_at_identity_equals_dimension_exactly():
                 assert char_o_field(lam, theta, 0.0) == dim_o(lam, theta), (theta, lam)
 
 
+def _labels(theta, max_size):
+    return [lam for size in range(max_size + 1) for lam in enumerate_partitions(size, theta)
+            if admissible_lambda(lam, theta)]
+
+
 def test_char_tableau_sum_cross_check():
-    for theta in (3, 5):
-        r = theta // 2
-        direction = FieldDirection(theta, tuple([1.0] + [0.4] * (r - 1)))
-        for n in range(0, 6):
-            for lam in enumerate_partitions(n, r):
-                for h in (0.0, 0.35, 1.2):
-                    a = char_so_tableau_sum(lam, theta, h, direction)
-                    b = char_o_field(lam, theta, h, direction)
-                    assert a == pytest.approx(b, rel=1e-10), (theta, lam, h)
+    # the weights against King's tableau sum, past h = 3 where a float
+    # Jacobi-Trudi determinant loses digits to cancellation
+    for theta, max_size in ((3, 8), (5, 8), (7, 6)):
+        for size in range(max_size + 1):
+            for lam in enumerate_partitions(size, theta // 2):
+                for h in (0.0, 0.35, 1.2, 3.0, 6.0):
+                    a = char_so_tableau_sum(lam, theta, h)
+                    got = char_o_field(lam, theta, h)
+                    assert got == pytest.approx(a, rel=1e-13, abs=0.0), (theta, lam, h)
+
+
+def test_both_determinant_forms_match_the_tableau_sum():
+    # at theta = 9 labels such as (1,1,1,1) or (2,1,1) take the e-form
+    # (lam_1 square) and labels such as (5) or (3,2) the h-form
+    for size in range(6):
+        for lam in enumerate_partitions(size, 4):
+            for h in (0.35, 3.0):
+                a = char_so_tableau_sum(lam, 9, h)
+                assert char_o_field(lam, 9, h) == pytest.approx(a, rel=1e-13, abs=0.0), (lam, h)
 
 
 def test_theta3_closed_form_matches_the_determinant():
-    # every theta=3 label is a one-row label (a) or its column flip
-    labels = [lam for size in range(13) for lam in enumerate_partitions(size, 3)
-              if admissible_lambda(lam, 3)]
+    # every theta=3 label is a one-row label (a) or its column flip, with
+    # the spin-a character sinh((a + 1/2) h) / sinh(h / 2)
+    labels = _labels(3, 12)
     assert {(1, 1), (1, 1, 1), (5, 1)} <= {lam.parts for lam in labels}
     for lam in labels:
-        assert char_o_field(lam, 3, 0.0) == dim_o(lam, 3)
-        for w in (1.0, 0.4):
-            direction = FieldDirection(3, (w,))
-            for h in (-1.2, 0.35, 1.2):
-                det = ortho_char_det(lam, _group_eigenvalues(3, h, direction))
-                assert char_o_field(lam, 3, h, direction) == pytest.approx(det, rel=1e-12)
+        a = (column_flip(lam, 3) if len(lam) > 1 else lam).size
+        assert char_o_field(lam, 3, 0.0) == dim_o(lam, 3) == 2 * a + 1
+        for h in (-1.2, 0.35, 1.2, 3.0, 6.0):
+            closed = math.sinh((a + 0.5) * h) / math.sinh(h / 2)
+            assert char_o_field(lam, 3, h) == pytest.approx(closed, rel=1e-14, abs=0.0), (lam, h)
+
+
+def test_theta2_closed_form_matches_the_weights():
+    for a in range(1, 9):
+        for h in (-1.2, 0.35, 1.2, 3.0, 6.0):
+            closed = 2.0 * math.cosh(a * h)
+            got = char_o_field(Partition([a]), 2, h)
+            assert got == pytest.approx(closed, rel=1e-14, abs=0.0), (a, h)
+
+
+def _check_weights(labels, theta):
+    # c_m >= 0, c_m = c_{-m}, and sum c_m = dim_o, for every label
+    table = weight_table(labels, theta)
+    assert np.all(table.mult > 0)
+    assert table.dims == tuple(dim_o(lam, theta) for lam in labels)
+    for i, lam in enumerate(labels):
+        at = table.row == i
+        weights = table.top[i] - table.depth[at]
+        mult = table.mult[at]
+        assert sorted(zip(weights, mult)) == sorted(zip(-weights, mult)), lam
+        assert mult.sum() == dim_o(lam, theta), lam
+
+
+@pytest.mark.parametrize("theta", [2, 3, 4, 5, 6])
+def test_weight_tables_up_to_size_12(theta):
+    _check_weights(_labels(theta, 12), theta)
+
+
+@pytest.mark.parametrize("theta", [12, 20])
+def test_weight_tables_at_large_theta(theta):
+    _check_weights(_labels(theta, 10), theta)
+
+
+def test_weight_tables_past_int64():
+    # products of the entries pass 2^63 here; Python ints keep them exact
+    _check_weights([Partition([60, 60, 60]), Partition([3, 1]), EMPTY], 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 16), st.data())
+def test_weight_table_property(theta, size, data):
+    labels = [lam for lam in enumerate_partitions(size, theta) if admissible_lambda(lam, theta)]
+    _check_weights([data.draw(st.sampled_from(labels))], theta)
+
+
+def test_weights_sum_to_the_weyl_dimension(monkeypatch):
+    from orthospin import group_chars
+
+    monkeypatch.setattr(group_chars, "dim_o", lambda lam, theta: 7)
+    with pytest.raises(ArithmeticError, match="sum to"):
+        weight_table([Partition([2])], 3)
+
+
+def test_log_chars_past_the_double_range():
+    # chi_(a) at theta = 2 is 2 cosh(a h): its log stays finite where the
+    # character overflows
+    table = weight_table([Partition([100]), Partition([1, 1])], 2)
+    assert table.log_chars(8.0) == pytest.approx([800.0, 0.0], rel=1e-15, abs=1e-15)
+    with pytest.raises(OverflowError):
+        char_o_field(Partition([100]), 2, 8.0)
 
 
 def test_weyl_dimension_bound():

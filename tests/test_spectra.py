@@ -15,7 +15,7 @@ from orthospin.brauer import (
     perfect_matchings,
     perm_matrix,
 )
-from orthospin.group_chars import FieldDirection, char_o_field, dim_o
+from orthospin.group_chars import char_o_field, dim_o
 from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariants
 from orthospin.spectra import (
     HamiltonianSpec,
@@ -267,15 +267,11 @@ def test_exact_mode_higher_theta_with_field():
 
 
 def test_field_with_custom_direction():
-    # scaled field matrix: spectrum {s, 0, -s} needs the matching direction
-    from orthospin.group_chars import FieldDirection
-    from orthospin.spectra import default_w
-
+    # a scaled field matrix s W at h is the default W at s h
     s = 0.6
-    w = s * default_w(3)
-    spec = HamiltonianSpec(3, 3, 0.9, 0.4, h=0.8, field_matrix=w)
+    spec = HamiltonianSpec(3, 3, 0.9, 0.4, h=0.8, field_matrix=s * default_w(3))
     zd = z_direct(spec)
-    zc = z_decomposed(3, 3, 0.9, 0.4, h=0.8, direction=FieldDirection(3, (s,)))
+    zc = z_decomposed(3, 3, 0.9, 0.4, h=s * 0.8)
     assert abs(zd - zc) / zd < 1e-12
 
 
@@ -470,7 +466,6 @@ def _z_by_lines(n, theta, L1, L2, h=0.0, oracle=False):
     """Z as a plain float sum over the lines, one term at a time: the
     reference for the table's log-domain sum.  oracle=True takes the lines
     from the dense spectral extraction."""
-    direction = FieldDirection.default(theta)
     total = 0.0
     if oracle:
         pairs = branching.spectral_extract_branching(n, theta)
@@ -480,7 +475,7 @@ def _z_by_lines(n, theta, L1, L2, h=0.0, oracle=False):
         if h == 0.0:
             chi = float(dim_o(pair.lam, theta))
         else:
-            chi = char_o_field(pair.lam, theta, h, direction)
+            chi = char_o_field(pair.lam, theta, h)
         e = line_eigenvalue(*line_invariants(pair, theta), L1, L2)
         total += chi * b * dim_sn(pair.rho) * math.exp(-e / n)
     return total
