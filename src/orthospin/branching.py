@@ -3,18 +3,28 @@
 By Brauer-Schur-Weyl duality b(lambda, k, rho) is the multiplicity of the
 O(theta) irreducible lambda in the GL(theta) irreducible rho.  One exact
 route gives it at every theta: the restriction of rho, once per partition,
-by Littlewood's sum with King's modification rule (R. C. King, J. Phys. A 8
-(1975) 429; K. Koike and I. Terada, J. Algebra 107 (1987) 466), on rho less
-its theta-th row (a column_flip of the labels when that row is odd).
-enumerate_Pn reads it per rho, b_coefficient per pair.  The dense spectral
-extraction is a check; it places the lines by spectra.line_eigenvalue.
+on rho less its theta-th row (a column_flip of the labels when that row is
+odd).  enumerate_Pn reads it per rho, b_coefficient per pair.  The
+restriction takes one of three rules:
+
+* theta = 3: Elliott's SU(3) > SO(3) rule (J. P. Elliott, Proc. R. Soc. A
+  245 (1958) 128) on the row differences of rho, with the spin L of SO(3)
+  read as the O(3) label (L) or its column_flip by the parity of |rho|;
+* a one-row rho = (a), every stripped rho at theta = 2: the harmonic [m]
+  over m <= a with m = a (mod 2);
+* otherwise Littlewood's sum with King's modification rule (R. C. King,
+  J. Phys. A 8 (1975) 429; K. Koike and I. Terada, J. Algebra 107 (1987)
+  466).
+
+The dense spectral extraction is a check; it places the lines by
+spectra.line_eigenvalue.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,6 +38,7 @@ from .partitions import (
     enumerate_partitions,
     line_invariants,
     partitions_inside,
+    _trusted,
 )
 from .tableaux import cell_branching, dim_sn
 
@@ -126,20 +137,57 @@ def _modify(mu: Partition, theta: int) -> Tuple[int, Partition]:
     return sign, column_flip(mu, theta) if twist else mu
 
 
-@lru_cache(maxsize=None)
-def _restriction(rho: Partition, theta: int) -> Counter:
-    """Multiplicity of each O(theta) label in the GL(theta) irreducible rho:
-    Littlewood's sum over mu of btilde(mu, rho) [mu], King's rule on each.
-    A one-row rho = (a), every stripped rho at theta = 2, is the sum of the
-    harmonic [m] over m <= a with m = a (mod 2)."""
-    if len(rho) == 1:
-        return Counter({Partition((m,)): 1 for m in range(rho[0] % 2, rho[0] + 1, 2)})
+def _littlewood_king(rho: Partition, theta: int) -> Counter:
+    """Littlewood's sum over mu of btilde(mu, rho) [mu], King's rule on each
+    [mu]; the restriction at theta >= 4 (and of a two-row rho at theta = 2)."""
     out: Counter = Counter()
     for mu in partitions_inside(rho, rho.size % 2):
         sign, label = _modify(mu, theta)
         if sign:
             out[label] += sign * cell_branching(mu, rho)
     return out
+
+
+def _one_row(m: int) -> Partition:
+    return _trusted((m,) if m else ())
+
+
+@lru_cache(maxsize=None)
+def _spin_label(spin: int, twisted: bool) -> Partition:
+    """The O(3) label of SO(3) spin L: (L), or its column_flip when twisted."""
+    return column_flip(_one_row(spin), 3) if twisted else _one_row(spin)
+
+
+def _elliott(rho: Partition) -> Counter:
+    """GL(3) -> O(3) by Elliott's rule.  With (l, m) the row differences of
+    rho, B = max(l, m) and s = min(l, m), each K = s, s - 2, ... >= 0 gives
+    the SO(3) spins L = K, ..., K + B when K > 0 and L = B, B - 2, ... >= 0
+    when K = 0.  The multiplicity of L counts the K of the parity of s in
+    [max(1, L - B), min(s, L)], plus one for K = 0.  -I in O(3) acts on rho
+    as (-1)^|rho| and on (L) as (-1)^L, so the label is (L) or, for the
+    other parity, its column_flip (the det twist)."""
+    l, m = rho[0] - rho[1], rho[1] - rho[2]
+    big, s, size = max(l, m), min(l, m), rho.size
+    out: Counter = Counter()
+    for spin in range(big + s + 1):
+        lo, hi = max(1, spin - big), min(s, spin)
+        mult = max(0, (hi - s) // 2 - (lo - 1 - s) // 2)
+        mult += s % 2 == 0 and spin <= big and (big - spin) % 2 == 0
+        if mult:
+            out[_spin_label(spin, (spin - size) % 2 == 1)] = mult
+    return out
+
+
+@lru_cache(maxsize=None)
+def _restriction(rho: Partition, theta: int) -> Counter:
+    """Multiplicity of each O(theta) label in the GL(theta) irreducible rho:
+    Elliott's rule at theta = 3, the harmonic sum of a one-row rho, and
+    _littlewood_king otherwise (see the module docstring)."""
+    if theta == 3:
+        return _elliott(rho)
+    if len(rho) == 1:
+        return Counter({_one_row(m): 1 for m in range(rho[0] % 2, rho[0] + 1, 2)})
+    return _littlewood_king(rho, theta)
 
 
 def b_coefficient(pair: LambdaRhoPair, theta: int) -> int:
@@ -155,13 +203,15 @@ def b_coefficient(pair: LambdaRhoPair, theta: int) -> int:
 def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
     """All pairs with positive branching coefficient and their multiplicities,
     in the order of enumerate_lambda_rho: one restriction per rho, read on
-    the stripped rho and flipped back when rho_theta is odd."""
+    the stripped rho and flipped back when rho_theta is odd (one column_flip
+    per distinct label)."""
     if n < 1 or theta < 2:
         raise ValueError("need n >= 1 and theta >= 2")
+    flip = lru_cache(maxsize=None)(partial(column_flip, theta=theta))
     out: List[Tuple[LambdaRhoPair, int]] = []
     for rho in enumerate_partitions(n, theta):
         rt, stripped = _strip_row(rho, theta)
-        labels = sorted(((column_flip(lam, theta) if rt % 2 else lam, b)
+        labels = sorted(((flip(lam) if rt % 2 else lam, b)
                          for lam, b in _restriction(stripped, theta).items() if b > 0),
                         key=lambda lb: (lb[0].size, lb[0].parts), reverse=True)
         out += [(LambdaRhoPair(lam, (n - lam.size) // 2, rho), b) for lam, b in labels]

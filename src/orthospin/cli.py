@@ -154,7 +154,7 @@ def _line_table(n: int, theta: int, oracle: bool) -> spectra.LineTable:
 def branching_cmd(theta, n, oracle, p1, p2, out):
     """CSV of branching data: lambda, k, rho, b, d_O, d_Sn, eigenvalue."""
     table = _line_table(n, theta, oracle)
-    energies = spectra.line_eigenvalue(table.c_rho, table.c_lam, p1, p2).tolist()
+    energies = spectra.table_eigenvalues(table, p1, p2).tolist()
     rows = [
         [format_partition(pair.lam), str(pair.k), format_partition(pair.rho),
          str(b), str(d_o), str(d_sn), f17(e)]

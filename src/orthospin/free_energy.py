@@ -297,6 +297,8 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
     habs = abs(h)
     grid, vals = _grid_values(theta, _GRID_STEP.get(theta, 0.05), L1, L2, habs)
     best = float(np.max(vals))
+    if not math.isfinite(best):
+        raise ValueError(f"L1={L1!r}, L2={L2!r}, h={h!r} overflow phi on the grid")
     best_x = tuple(float(v) for v in grid[int(np.argmax(vals))])
     top = np.nonzero(vals >= best - 1e-4)[0]
     # keep one representative start per coarse grid cell (flat near-critical

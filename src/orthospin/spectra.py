@@ -42,8 +42,10 @@ enumerate_Pn, whose b is exact at every theta.  One cached LineTable per
 their b and d_Sn = dim_sn(rho), an index into the distinct lambda, the
 weight table of those lambda (group_chars.weight_table: d_O = dim_o(lambda)
 and the integer weight multiplicities of W = default_w(theta)), log(b d_Sn),
-and the line invariants of partitions.line_invariants, which
-line_eigenvalue, the one copy of the line formula, turns into eigenvalues.
+and the line invariants (c(rho), c(lambda) + k(1 - theta)) of
+partitions.line_invariants, which line_eigenvalue, the one copy of the line
+formula, turns into eigenvalues.  d_Sn and the content sums are formed once
+per distinct rho and lambda and spread over the lines by index arrays.
 A call evaluates every log-character in one vectorised step (log d_O at
 h = 0), finite at every finite h, and takes a numpy log-sum-exp over the
 lines.  spectral_lines and the command line's branching and schur-weyl
@@ -68,7 +70,7 @@ import numpy as np
 from . import branching
 from .brauer import pair_form, perfect_matchings
 from .group_chars import WeightTable, weight_table
-from .partitions import LambdaRhoPair, Partition, line_invariants
+from .partitions import LambdaRhoPair, Partition, content_sum
 from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
@@ -417,27 +419,32 @@ class LineTable:
         return zip(self.pairs, self.b, d_o, self.d_sn)
 
 
+def _first_seen(keys: Iterator) -> Tuple[tuple, np.ndarray]:
+    """(the distinct keys in order of first appearance, each key's index
+    into them)."""
+    index_of: Dict = {}
+    index = np.array([index_of.setdefault(key, len(index_of)) for key in keys], dtype=np.intp)
+    return tuple(index_of), index
+
+
 def build_line_table(pn: Sequence[Tuple[LambdaRhoPair, int]], theta: int) -> LineTable:
-    """The line table of the positive lines pn, in their order; the
-    weights with d_O, and d_Sn, are computed once per distinct lambda and
-    rho."""
-    lam_of: Dict[Partition, int] = {}
-    d_sn_of: Dict[Partition, int] = {}
-    lam_index, d_sn = [], []
-    for pair, _ in pn:
-        lam_index.append(lam_of.setdefault(pair.lam, len(lam_of)))
-        if pair.rho not in d_sn_of:
-            d_sn_of[pair.rho] = dim_sn(pair.rho)
-        d_sn.append(d_sn_of[pair.rho])
+    """The line table of the positive lines pn, in their order.  The
+    weights with d_O, d_Sn and the content sums are computed once per
+    distinct lambda and rho, and index arrays spread them over the lines."""
     pairs = tuple(pair for pair, _ in pn)
     b = tuple(b for _, b in pn)
-    c_rho, c_lam = (np.array(v, dtype=float)
-                    for v in zip(*(line_invariants(p, theta) for p in pairs)))
+    lams, lam_index = _first_seen(p.lam for p in pairs)
+    rhos, rho_index = _first_seen(p.rho for p in pairs)
+    d_sn_of = [dim_sn(rho) for rho in rhos]
+    d_sn = tuple(d_sn_of[i] for i in rho_index.tolist())
+    c_lam = np.array([content_sum(lam) for lam in lams], dtype=np.int64)[lam_index]
+    k = np.array([p.k for p in pairs], dtype=np.int64)
     return LineTable(
-        pairs, b, tuple(d_sn), tuple(lam_of), weight_table(tuple(lam_of), theta),
-        lam_index=np.array(lam_index, dtype=np.intp),
+        pairs, b, d_sn, lams, weight_table(lams, theta),
+        lam_index=lam_index,
         log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
-        c_rho=c_rho, c_lam=c_lam,
+        c_rho=np.array([content_sum(rho) for rho in rhos], dtype=float)[rho_index],
+        c_lam=(c_lam + (1 - theta) * k).astype(float),
     )
 
 
@@ -447,11 +454,21 @@ def line_table(n: int, theta: int) -> LineTable:
     return build_line_table(branching.enumerate_Pn(n, theta), theta)
 
 
+def table_eigenvalues(table: LineTable, L1: float, L2: float) -> np.ndarray:
+    """line_eigenvalue on every line of table; ValueError when a coupling is
+    not finite or the couplings overflow an eigenvalue."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = line_eigenvalue(table.c_rho, table.c_lam, L1, L2)
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"L1={L1!r}, L2={L2!r} overflow the line eigenvalues")
+    return energies
+
+
 def spectral_lines(n: int, theta: int, L1: float, L2: float) -> List[SpectralLine]:
     """One line per (lambda, k, rho) with positive branching coefficient;
-    ValueError when a coupling is not finite."""
+    ValueError when a coupling is not finite or an eigenvalue overflows."""
     table = line_table(n, theta)
-    energies = line_eigenvalue(table.c_rho, table.c_lam, L1, L2).tolist()
+    energies = table_eigenvalues(table, L1, L2).tolist()
     return [
         SpectralLine(pair.lam, pair.k, pair.rho, e, d_o * b * d_sn)
         for (pair, b, d_o, d_sn), e in zip(table.rows(), energies)
@@ -530,6 +547,8 @@ def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,
     (AssertionError otherwise)."""
     if theta not in (2, 3):
         raise ValueError("total spin observable implemented for theta in {2,3}")
+    if n < 1:
+        raise ValueError("need n >= 1 and theta >= 2")
     dense = (z_direct(HamiltonianSpec(theta, n, L1, L2, h=h / n, flavor=flavor))
              / z_direct(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
     decomposed = (z_decomposed(n, theta, L1, L2, h / n, flavor=flavor)

@@ -6,8 +6,7 @@ Everything here is exact integer arithmetic.  The LR coefficient is computed
 by direct enumeration of column-strict skew fillings with the lattice-word
 check, which is simple enough to trust but slows quickly past ~20 boxes.
 cell_branching needs no LR tableaux for a one-column lam (Pieri) or a rho of
-at most two rows (the GL(2) Clebsch-Gordan rule), which covers every
-restriction at theta = 2, 3.
+at most two rows (the GL(2) Clebsch-Gordan rule).
 """
 
 from __future__ import annotations

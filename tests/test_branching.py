@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,17 +68,65 @@ def test_enumerate_Pn_sweeps_no_candidates(monkeypatch):
 
 
 def test_enumerate_Pn_theta3_needs_no_lr_tableaux(monkeypatch):
-    # every stripped rho at theta=3 has at most two rows, so the restriction
-    # is decided by the Pieri and Clebsch-Gordan rules of cell_branching
-    from orthospin import tableaux
+    # Elliott's rule decides every restriction at theta=3: no Littlewood sum
+    # (partitions_inside) and no cell branching number, so no LR tableau
+    calls = {"cell_branching": 0, "partitions_inside": 0}
 
-    def unreachable(*args):
-        raise AssertionError(f"LR coefficient reached with {args!r}")
+    def counting(name):
+        original = getattr(branching, name)
 
-    monkeypatch.setattr(tableaux, "lr_coefficient", unreachable)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(branching, name, counting(name))
     monkeypatch.setattr(branching, "_restriction", branching._restriction.__wrapped__)
-    for n in range(1, 31):
-        enumerate_Pn.__wrapped__(n, 3)
+    enumerate_Pn.__wrapped__(40, 3)
+    assert calls == {"cell_branching": 0, "partitions_inside": 0}
+    enumerate_Pn.__wrapped__(6, 4)  # the counters see the theta >= 4 route
+    assert calls["cell_branching"] > 0 and calls["partitions_inside"] > 0
+
+
+# sha256 of repr(enumerate_Pn(n, theta)) as Littlewood's sum with King's
+# rule gives it at every theta, theta = 3 included
+_ENUMERATION_SHA256 = {
+    (2, 60): "4e795b8a95cb146652ccc84e95da1b8a40ff8edfb9528df7a4762a28976835fe",
+    (2, 200): "0b2fc12367691d9a7b6f09fd832ffe738d3dbb17a3758865beee388546adcc32",
+    (3, 40): "a0bdc27eb30cf4ec5f083a406a6b3b062a944438333a4f5a29c9e9554c7cf218",
+    (3, 41): "88ce7e7a0b1963aa7114327f07c1c314f42d063a046e9d16f78ad131833d966a",
+    (3, 80): "f69a78dd8888a72d0458a92d22dea9ea0946ac1b5f6f1a74e441a3bf14973b04",
+    (4, 12): "69d9aee2b6218fc07a36aa6aba909496117ec9bdf247801565d947a54770da3d",
+    (5, 10): "ebe53738419bc917d522e7c5736e9221615389988025be28456213931770e1c4",
+}
+
+
+@pytest.mark.parametrize("theta,n", sorted(_ENUMERATION_SHA256))
+def test_enumerate_Pn_pinned(theta, n):
+    digest = hashlib.sha256(repr(enumerate_Pn(n, theta)).encode()).hexdigest()
+    assert digest == _ENUMERATION_SHA256[theta, n]
+
+
+def test_elliott_matches_littlewood_king():
+    # every stripped rho (at most two rows) up to 44 boxes; the Littlewood
+    # sum may carry zero multiplicities, which unary + drops
+    count = 0
+    for size in range(45):
+        for rho in enumerate_partitions(size, 2):
+            assert branching._elliott(rho) == +branching._littlewood_king(rho, 3), rho
+            count += 1
+    assert count == 529
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 150), st.integers(0, 300))
+def test_elliott_dimensions(second, size):
+    # sum over lambda of b d_O(lambda) is the GL(3) dimension of rho
+    rho = Partition([size - min(second, size // 2), min(second, size // 2)])
+    total = sum(b * dim_o(lam, 3) for lam, b in branching._elliott(rho).items())
+    assert total == dim_gl(rho, 3), rho
 
 
 @pytest.mark.parametrize("theta,nmax", [(2, 16), (3, 12), (4, 9), (5, 7), (6, 6)])

@@ -185,6 +185,28 @@ def test_line_commands_reject_non_finite_couplings():
             assert "eigenvalue" not in res.output  # no CSV
 
 
+def test_total_spin_rejects_n_below_one():
+    # n is checked before the field h / n is formed
+    for n in ("0", "-1"):
+        res = run("total-spin", "--theta", "2", "--n", n, "--p1", "1", "--p2", "0", "--h", "1")
+        assert res.exit_code == 2, n
+        assert "need n >= 1" in res.output and "Traceback" not in res.output
+
+
+def test_overflowing_couplings_exit_2():
+    # finite couplings whose products overflow: exit 2, never nan or inf
+    for args in (
+        ("spectrum", "--theta", "2", "--n", "4", "--p1", "1e308", "--p2", "1e308"),
+        ("branching", "--theta", "2", "--n", "4", "--p1", "1e308", "--p2", "1e308"),
+        ("free-energy", "--theta", "2", "--p1", "1e308", "--p2", "1e308"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert "overflow" in res.output, args
+        for word in ("Traceback", "nan", "inf", "Infinity"):
+            assert word not in res.output, (args, word)
+
+
 def test_spectrum_csv():
     res = run("spectrum", "--theta", "2", "--n", "3", "--p1", "1", "--p2", "1")
     lines = res.output.strip().splitlines()

@@ -489,6 +489,13 @@ def test_maximize_phi_rejects_non_finite_couplings():
             maximize_phi(2, *args)
 
 
+def test_maximize_phi_rejects_overflowing_couplings():
+    # finite couplings that overflow phi: ValueError, not a value of inf
+    for theta, args in ((2, (1e308, 1e308)), (3, (1e308, 1e308, 2.0)), (2, (-1e308, -1e308))):
+        with pytest.raises(ValueError, match="overflow phi"):
+            maximize_phi(theta, *args)
+
+
 def test_submodule_not_shadowed():
     import orthospin
     import orthospin.free_energy as fe

@@ -387,6 +387,14 @@ def test_line_routes_reject_non_finite_couplings(field, value):
         z_decomposed(10, 2, 1.0, 0.5, h=value)
 
 
+def test_line_routes_reject_overflowing_couplings():
+    # finite couplings whose eigenvalues overflow: ValueError, not nan/-inf
+    with pytest.raises(ValueError, match="overflow the line eigenvalues"):
+        spectral_lines(4, 2, 1e308, 1e308)
+    with pytest.raises(ValueError, match="overflow the line eigenvalues"):
+        spectral_lines(4, 3, -1e308, 1e308)
+
+
 def test_z_decomposed_rejects_unknown_flavor():
     # Z_P differs from Z_Q at theta=2, so a misspelt "P" must not give Z_Q
     assert z_decomposed(4, 2, 1.0, 0.5, flavor="P") != z_decomposed(4, 2, 1.0, 0.5)
