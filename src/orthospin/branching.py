@@ -4,7 +4,8 @@ By Brauer-Schur-Weyl duality b(lambda, k, rho) is the multiplicity of the
 O(theta) irreducible lambda in the GL(theta) irreducible rho.  One exact
 route gives it at every theta: the restriction of rho, once per partition,
 on rho less its theta-th row (a column_flip of the labels when that row is
-odd).  enumerate_Pn reads it per rho, b_coefficient per pair.  The
+odd).  positive_lines reads it per rho into index arrays (a LineIndex,
+which enumerate_Pn lists as pairs), b_coefficient per pair.  The
 restriction takes one of three rules:
 
 * theta = 3: Elliott's SU(3) > SO(3) rule (J. P. Elliott, Proc. R. Soc. A
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache, partial
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .partitions import (
     line_invariants,
     partitions_inside,
     _trusted,
+    _trusted_pair,
 )
 from .tableaux import cell_branching, dim_sn
 
@@ -57,9 +60,10 @@ def _validate_pair(pair: LambdaRhoPair, theta: int) -> None:
 
 
 def _strip_row(rho: Partition, theta: int) -> Tuple[int, Partition]:
-    """(rho_theta, rho with rho_theta removed from every row)."""
+    """(rho_theta, rho with rho_theta removed from every row); the rows
+    longer than rho_theta are a prefix of rho."""
     rt = rho[theta - 1]
-    return rt, Partition(tuple(max(r - rt, 0) for r in rho.parts)) if rt else rho
+    return rt, _trusted(tuple(r - rt for r in rho.parts if r > rt)) if rt else rho
 
 
 def reduce_by_recurrence(pair: LambdaRhoPair, theta: int) -> LambdaRhoPair:
@@ -148,6 +152,7 @@ def _littlewood_king(rho: Partition, theta: int) -> Counter:
     return out
 
 
+@lru_cache(maxsize=None)
 def _one_row(m: int) -> Partition:
     return _trusted((m,) if m else ())
 
@@ -199,23 +204,113 @@ def b_coefficient(pair: LambdaRhoPair, theta: int) -> int:
     return _restriction(reduced.rho, theta)[reduced.lam]
 
 
+@dataclass(frozen=True)
+class LineIndex:
+    """The positive lines (lambda, k, rho) of size n as index arrays.
+
+    Line i has rho = rhos[rho_index[i]], lambda = lams[lam_index[i]],
+    k = (n - |lambda|) / 2 and branching coefficient b[i].  The lines run by
+    rho in the order of rhos and, inside a rho, by (|lambda|, parts)
+    descending; lams is sorted that way, so lam_index increases inside
+    each rho.
+    """
+
+    n: int
+    rhos: Tuple[Partition, ...]
+    lams: Tuple[Partition, ...]
+    rho_index: np.ndarray
+    lam_index: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rho_index, self.lam_index, self.b):
+            a.setflags(write=False)  # the index is cached and shared
+
+    def pairs(self) -> Iterator[Tuple[LambdaRhoPair, int]]:
+        """(pair, b) per line, built on demand as unchecked pairs: every
+        label was checked against n."""
+        ks = [(self.n - lam.size) // 2 for lam in self.lams]
+        for r, l, b in zip(self.rho_index.tolist(), self.lam_index.tolist(), self.b.tolist()):
+            yield _trusted_pair(self.lams[l], ks[l], self.rhos[r]), b
+
+
+def _index_lines(n: int, rhos: Sequence[Partition], labels: Sequence[Partition],
+                 rho_index, lam_index, b) -> LineIndex:
+    """The LineIndex of lines given by indices into rhos and labels: every
+    label is checked against n and ranked once, then one lexsort orders the
+    lines.  ValueError when n - |lambda| is odd or negative."""
+    sizes = [lam.size for lam in labels]
+    for lam, size in zip(labels, sizes):
+        if size > n or (n - size) % 2:
+            raise ValueError(f"size mismatch: |lam|={size} for {lam!r} at n={n}")
+    order = sorted(range(len(labels)), key=lambda i: (sizes[i], labels[i].parts), reverse=True)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    lam_index = rank[np.asarray(lam_index, dtype=np.intp)]
+    rho_index = np.asarray(rho_index, dtype=np.intp)
+    perm = np.lexsort((lam_index, rho_index))
+    return LineIndex(n, tuple(rhos), tuple(labels[i] for i in order), rho_index[perm],
+                     lam_index[perm], np.asarray(b, dtype=np.int64)[perm])
+
+
+@lru_cache(maxsize=None)
+def positive_lines(n: int, theta: int) -> LineIndex:
+    """The lines with positive branching coefficient, one restriction per
+    rho, read on the stripped rho and flipped back when rho_theta is odd.
+    A label gets its id once per flip parity, keyed by its parts, so no
+    pair is built per line and no line's Partition is hashed to index it."""
+    if n < 1 or theta < 2:
+        raise ValueError("need n >= 1 and theta >= 2")
+    rhos = enumerate_partitions(n, theta)
+    labels: List[Partition] = []
+    label_id: Dict[Tuple[int, ...], int] = {}
+    ids: Tuple[Dict[Tuple[int, ...], int], ...] = ({}, {})  # by the parity of rho_theta
+    rho_index: List[int] = []
+    lam_index: List[int] = []
+    b: List[int] = []
+    for r, rho in enumerate(rhos):
+        rt, stripped = _strip_row(rho, theta)
+        seen = ids[rt % 2]
+        for lam, mult in _restriction(stripped, theta).items():
+            if mult > 0:
+                i = seen.get(lam.parts)
+                if i is None:
+                    label = column_flip(lam, theta) if rt % 2 else lam
+                    i = seen[lam.parts] = label_id.setdefault(label.parts, len(labels))
+                    if i == len(labels):
+                        labels.append(label)
+                lam_index.append(i)
+                b.append(mult)
+        rho_index += [r] * (len(b) - len(rho_index))
+    return _index_lines(n, rhos, labels, rho_index, lam_index, b)
+
+
+def _first_seen(keys: Iterable) -> Tuple[tuple, List[int]]:
+    """(the distinct keys in order of first appearance, each key's index
+    into them)."""
+    index_of: Dict = {}
+    index = [index_of.setdefault(key, len(index_of)) for key in keys]
+    return tuple(index_of), index
+
+
+def index_pairs(n: int, pn: Sequence[Tuple[LambdaRhoPair, int]]) -> LineIndex:
+    """The LineIndex of the lines of pn with b > 0, pairs of size n such as
+    the dense spectral extraction's.  Hashes every pair's lambda and rho:
+    for small n.  ValueError when a rho does not have n boxes."""
+    pn = [(pair, b) for pair, b in pn if b > 0]
+    rhos, rho_index = _first_seen(pair.rho for pair, _ in pn)
+    for rho in rhos:
+        if rho.size != n:
+            raise ValueError(f"size mismatch: |rho|={rho.size} for {rho!r} at n={n}")
+    lams, lam_index = _first_seen(pair.lam for pair, _ in pn)
+    return _index_lines(n, rhos, lams, rho_index, lam_index, [b for _, b in pn])
+
+
 @lru_cache(maxsize=None)
 def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
     """All pairs with positive branching coefficient and their multiplicities,
-    in the order of enumerate_lambda_rho: one restriction per rho, read on
-    the stripped rho and flipped back when rho_theta is odd (one column_flip
-    per distinct label)."""
-    if n < 1 or theta < 2:
-        raise ValueError("need n >= 1 and theta >= 2")
-    flip = lru_cache(maxsize=None)(partial(column_flip, theta=theta))
-    out: List[Tuple[LambdaRhoPair, int]] = []
-    for rho in enumerate_partitions(n, theta):
-        rt, stripped = _strip_row(rho, theta)
-        labels = sorted(((flip(lam) if rt % 2 else lam, b)
-                         for lam, b in _restriction(stripped, theta).items() if b > 0),
-                        key=lambda lb: (lb[0].size, lb[0].parts), reverse=True)
-        out += [(LambdaRhoPair(lam, (n - lam.size) // 2, rho), b) for lam, b in labels]
-    return tuple(out)
+    in the order of enumerate_lambda_rho: the lines of positive_lines."""
+    return tuple(positive_lines(n, theta).pairs())
 
 
 # ---------------------------------------------------------------------------

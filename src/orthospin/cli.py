@@ -141,7 +141,7 @@ def _line_table(n: int, theta: int, oracle: bool) -> spectra.LineTable:
     if not oracle:
         return spectra.line_table(n, theta)
     return spectra.build_line_table(
-        [(p, b) for p, b in branching.spectral_extract_branching(n, theta) if b > 0], theta)
+        branching.index_pairs(n, branching.spectral_extract_branching(n, theta)), theta)
 
 
 @main.command("branching")

@@ -148,20 +148,22 @@ def _det(mat: np.ndarray) -> np.ndarray:
 class WeightTable:
     """The weight multiplicities of W on a list of O(theta) labels.
 
-    dims holds the Weyl dimensions (exact ints) and top the highest weight
-    M of each label; the nonzero multiplicities are stacked: entry i gives
-    label row[i] the weight top[row[i]] - depth[i] with multiplicity
-    mult[i] (integers, held as floats for the evaluation).
+    dims holds the Weyl dimensions (exact ints), log_dims their logs and top
+    the highest weight M of each label; the nonzero multiplicities are
+    stacked: entry i gives label row[i] the weight top[row[i]] - depth[i]
+    with multiplicity mult[i] (integers, held as floats for the
+    evaluation).
     """
 
     dims: Tuple[int, ...]
+    log_dims: np.ndarray
     top: np.ndarray
     row: np.ndarray
     depth: np.ndarray
     mult: np.ndarray
 
     def __post_init__(self):
-        for a in (self.top, self.row, self.depth, self.mult):
+        for a in (self.log_dims, self.top, self.row, self.depth, self.mult):
             a.setflags(write=False)  # tables are cached and shared
 
     def scaled_chars(self, h: float) -> np.ndarray:
@@ -173,7 +175,7 @@ class WeightTable:
         """log chi_lam(exp(hW)) per label, finite at every finite h; the log
         of the Weyl dimension at h = 0."""
         if h == 0.0:
-            return np.log(np.array(self.dims, dtype=float))
+            return self.log_dims
         return abs(h) * self.top + np.log(self.scaled_chars(h))
 
 
@@ -222,7 +224,7 @@ def weight_table(lams: Sequence[Partition], theta: int) -> WeightTable:
         depth.append(col - lead[at])
         mult.append(poly[at, col])
     return WeightTable(
-        dims, top,
+        dims, np.log(np.array(dims, dtype=float)), top,
         row=np.concatenate(row),
         depth=np.concatenate(depth).astype(float),
         mult=np.concatenate(mult).astype(float),

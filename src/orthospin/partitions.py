@@ -203,6 +203,15 @@ class LambdaRhoPair:
         )
 
 
+def _trusted_pair(lam: Partition, k: int, rho: Partition) -> LambdaRhoPair:
+    """A LambdaRhoPair known to satisfy |lam| + 2k = |rho|, skipping the check."""
+    out = object.__new__(LambdaRhoPair)
+    object.__setattr__(out, "lam", lam)
+    object.__setattr__(out, "k", k)
+    object.__setattr__(out, "rho", rho)
+    return out
+
+
 def admissible_lambda(lam: Partition, theta: int) -> bool:
     """First two columns of lambda sum to at most theta."""
     return sum(first_two_columns(lam)) <= theta

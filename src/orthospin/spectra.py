@@ -37,23 +37,29 @@ sector) used by build_hamiltonian and the ground-state checks.
 Character route
 ---------------
 z_decomposed sums over the positive lines (lambda, k, rho) of
-enumerate_Pn, whose b is exact at every theta.  One cached LineTable per
-(n, theta) holds what does not depend on the couplings: the pairs with
-their b and d_Sn = dim_sn(rho), an index into the distinct lambda, the
-weight table of those lambda (group_chars.weight_table: d_O = dim_o(lambda)
-and the integer weight multiplicities of W = default_w(theta)), log(b d_Sn),
-and the line invariants (c(rho), c(lambda) + k(1 - theta)) of
-partitions.line_invariants, which line_eigenvalue, the one copy of the line
-formula, turns into eigenvalues.  d_Sn and the content sums are formed once
-per distinct rho and lambda and spread over the lines by index arrays.
-A call evaluates every log-character in one vectorised step (log d_O at
-h = 0), finite at every finite h, and takes a numpy log-sum-exp over the
-lines.  spectral_lines and the command line's branching and schur-weyl
-output read the same table; their --oracle check passes the positive
-lines of the dense spectral extraction to the same builder, uncached.
+branching.positive_lines, whose b is exact at every theta.  They arrive
+as index arrays (a LineIndex): the distinct rho and lambda, and per line
+its rho index, lambda index and b, with k = (n - |lambda|) / 2; no pair
+is built per line and no line's lambda or rho is hashed to index it.
+One cached LineTable per (n, theta) holds what does not depend on the
+couplings: that LineIndex, the weight table of its lambda
+(group_chars.weight_table: d_O = dim_o(lambda) and the integer weight
+multiplicities of W = default_w(theta)), log(b d_Sn), formed once per
+distinct (rho, b), and the line invariants (c(rho), c(lambda) +
+k(1 - theta)) of partitions.line_invariants, which line_eigenvalue, the
+one copy of the line formula, turns into eigenvalues.  d_Sn and the content sums are
+formed once per distinct rho and lambda and spread over the lines by the
+index arrays.  A call evaluates every log-character in one vectorised
+step (log d_O at h = 0), finite at every finite h, and takes a numpy
+log-sum-exp over the lines.  spectral_lines and the command line's
+branching and schur-weyl output build (pair, b, d_O, d_Sn) per line on
+demand from the same table (LineTable.rows); their --oracle check
+converts the positive lines of the dense spectral extraction to a
+LineIndex (branching.index_pairs) for the same builder, uncached.
 z_direct also sums its blocks in the log domain.  Both raise ValueError,
 stating log Z, when Z is not a positive finite double (exit 2 on the
-command line) rather than returning inf.
+command line) rather than returning inf, and name the couplings when they
+overflow log Z or a dense block.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -393,65 +399,56 @@ def convert_parameters(mode: str, p1: float, p2: float,
 class LineTable:
     """The coupling-independent data of the positive lines (lambda, k, rho).
 
-    Exact ints per line (b, d_Sn), the weight table of the distinct lambda
-    (with their d_O), plus the float arrays the line sum reads:
-    log(b d_Sn), c(rho) and c(lambda) + k(1 - theta) per line, and each
-    line's index into lams.
+    The lines as index arrays (branching.LineIndex), the weight table of
+    their distinct lambda (with their d_O), plus the float arrays the line
+    sum reads: log(b d_Sn), c(rho) and c(lambda) + k(1 - theta) per line.
     """
 
-    pairs: Tuple[LambdaRhoPair, ...]
-    b: Tuple[int, ...]
-    d_sn: Tuple[int, ...]
-    lams: Tuple[Partition, ...]
+    lines: branching.LineIndex
     weights: WeightTable
-    lam_index: np.ndarray
     log_weight: np.ndarray
     c_rho: np.ndarray
     c_lam: np.ndarray
 
     def __post_init__(self):
-        for a in (self.lam_index, self.log_weight, self.c_rho, self.c_lam):
+        for a in (self.log_weight, self.c_rho, self.c_lam):
             a.setflags(write=False)  # the table is cached and shared
 
     def rows(self) -> Iterator[Tuple[LambdaRhoPair, int, int, int]]:
-        """(pair, b, d_O, d_Sn) per line, in enumeration order."""
-        d_o = [self.weights.dims[i] for i in self.lam_index.tolist()]
-        return zip(self.pairs, self.b, d_o, self.d_sn)
+        """(pair, b, d_O, d_Sn) per line, in enumeration order, built on
+        demand."""
+        lines, d_o = self.lines, self.weights.dims
+        d_sn = [dim_sn(rho) for rho in lines.rhos]
+        return ((pair, b, d_o[l], d_sn[r]) for (pair, b), r, l in
+                zip(lines.pairs(), lines.rho_index.tolist(), lines.lam_index.tolist()))
 
 
-def _first_seen(keys: Iterator) -> Tuple[tuple, np.ndarray]:
-    """(the distinct keys in order of first appearance, each key's index
-    into them)."""
-    index_of: Dict = {}
-    index = np.array([index_of.setdefault(key, len(index_of)) for key in keys], dtype=np.intp)
-    return tuple(index_of), index
-
-
-def build_line_table(pn: Sequence[Tuple[LambdaRhoPair, int]], theta: int) -> LineTable:
-    """The line table of the positive lines pn, in their order.  The
+def build_line_table(lines: branching.LineIndex, theta: int) -> LineTable:
+    """The line table of the lines of a LineIndex, in their order.  The
     weights with d_O, d_Sn and the content sums are computed once per
-    distinct lambda and rho, and index arrays spread them over the lines."""
-    pairs = tuple(pair for pair, _ in pn)
-    b = tuple(b for _, b in pn)
-    lams, lam_index = _first_seen(p.lam for p in pairs)
-    rhos, rho_index = _first_seen(p.rho for p in pairs)
-    d_sn_of = [dim_sn(rho) for rho in rhos]
-    d_sn = tuple(d_sn_of[i] for i in rho_index.tolist())
-    c_lam = np.array([content_sum(lam) for lam in lams], dtype=np.int64)[lam_index]
-    k = np.array([p.k for p in pairs], dtype=np.int64)
+    distinct lambda and rho, log(b d_Sn) once per distinct (rho, b), and
+    the index arrays spread them over the lines."""
+    rho_index, lam_index, b = lines.rho_index, lines.lam_index, lines.b
+    d_sn = [dim_sn(rho) for rho in lines.rhos]
+    base = int(b.max()) + 1
+    rho_b, inverse = np.unique(rho_index * base + b, return_inverse=True)
+    log_weight = np.array([math.log(bi * d_sn[r])
+                           for r, bi in zip(*(a.tolist() for a in np.divmod(rho_b, base)))])
+    ks = np.array([(lines.n - lam.size) // 2 for lam in lines.lams], dtype=np.int64)
+    c_lam = np.array([content_sum(lam) for lam in lines.lams], dtype=np.int64) + (1 - theta) * ks
     return LineTable(
-        pairs, b, d_sn, lams, weight_table(lams, theta),
-        lam_index=lam_index,
-        log_weight=np.array([math.log(bi * di) for bi, di in zip(b, d_sn)]),
-        c_rho=np.array([content_sum(rho) for rho in rhos], dtype=float)[rho_index],
-        c_lam=(c_lam + (1 - theta) * k).astype(float),
+        lines, weight_table(lines.lams, theta),
+        log_weight=log_weight[inverse],
+        c_rho=np.array([content_sum(rho) for rho in lines.rhos], dtype=float)[rho_index],
+        c_lam=c_lam.astype(float)[lam_index],
     )
 
 
 @lru_cache(maxsize=32)
 def line_table(n: int, theta: int) -> LineTable:
-    """The line table of enumerate_Pn(n, theta), built once per size."""
-    return build_line_table(branching.enumerate_Pn(n, theta), theta)
+    """The line table of branching.positive_lines(n, theta), built once per
+    size."""
+    return build_line_table(branching.positive_lines(n, theta), theta)
 
 
 def table_eigenvalues(table: LineTable, L1: float, L2: float) -> np.ndarray:
@@ -481,8 +478,12 @@ def _logsumexp(a: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(a - top))))
 
 
-def _z_from_log(log_z: float) -> float:
-    """exp(log Z); ValueError when Z is not a positive finite double."""
+def _z_from_log(log_z: float, **couplings: float) -> float:
+    """exp(log Z); ValueError when Z is not a positive finite double, naming
+    the couplings when they overflow log Z to nan."""
+    if math.isnan(log_z):
+        named = ", ".join(f"{name}={value!r}" for name, value in couplings.items())
+        raise ValueError(f"{named} overflow log Z")
     z = math.exp(log_z) if log_z <= _LOG_DOUBLE_MAX else math.inf
     if not 0.0 < z < math.inf:
         raise ValueError(f"Z is outside the double range: log Z = {log_z!r}")
@@ -500,17 +501,22 @@ def z_direct(spec: HamiltonianSpec) -> float:
     log(exp(h q.y) + exp(-h q.y)); the F-even and F-odd halves of q = 0
     each enter with weight 1.  Only the default W = default_w(theta) has a
     character-route counterpart (z_decomposed); a scaled s W at h is the
-    default W at s h.
+    default W at s h.  ValueError when the couplings overflow a scaled
+    block or log Z.
     """
     _check_cap(spec.theta, spec.n)
     charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
     y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
-    log_blocks = [
-        _logsumexp(spec.h * (q @ y))
-        + _logsumexp(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
-        for q, t, b in zip(charges, blocks_t, blocks_b)
-    ]
-    return _z_from_log(_logsumexp(np.array(log_blocks)))
+    log_blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, t, b in zip(charges, blocks_t, blocks_b):
+            block = (spec.L1 * t + spec.L2 * b) / spec.n
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"L1={spec.L1!r}, L2={spec.L2!r} overflow the dense blocks")
+            log_blocks.append(_logsumexp(spec.h * (q @ y))
+                              + _logsumexp(np.linalg.eigvalsh(block)))
+        log_z = _logsumexp(np.array(log_blocks))
+    return _z_from_log(log_z, L1=spec.L1, L2=spec.L2, h=spec.h)
 
 
 def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
@@ -525,19 +531,23 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
     has no lines here.  Raises ValueError for an unknown flavor, when a
-    coupling is not finite, or when Z is not a positive finite double.
+    coupling is not finite, or when Z is not a positive finite double
+    (naming the couplings when they overflow log Z).
     """
     require_flavor(flavor)
     require_finite(L1=L1, L2=L2, h=h)
+    couplings = dict(L1=L1, L2=L2, h=h)
     log_shift = 0.0
     if flavor == "P" and theta % 2 == 0:
         if theta != 2:
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
         log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
     table = line_table(n, theta)
-    exponents = (table.weights.log_chars(h)[table.lam_index] + table.log_weight
-                 - line_eigenvalue(table.c_rho, table.c_lam, L1, L2) / n)
-    return _z_from_log(log_shift + _logsumexp(exponents))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = (table.weights.log_chars(h)[table.lines.lam_index] + table.log_weight
+                     - line_eigenvalue(table.c_rho, table.c_lam, L1, L2) / n)
+        log_z = log_shift + _logsumexp(exponents)
+    return _z_from_log(log_z, **couplings)
 
 
 def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,

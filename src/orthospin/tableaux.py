@@ -15,20 +15,20 @@ import math
 from functools import lru_cache
 from typing import Tuple
 
-from .partitions import Partition, enumerate_even_partitions, transpose
+from .partitions import Partition, enumerate_even_partitions
 
 
 def dim_sn(rho: Partition) -> int:
-    """Number of standard Young tableaux of shape rho (hook-length formula)."""
-    n = rho.size
-    if n == 0:
-        return 1
-    cols = transpose(rho).parts
-    hooks = 1
-    for i, row in enumerate(rho.parts):
-        for j in range(row):
-            hooks *= (row - j) + (cols[j] - i) - 1
-    return math.factorial(n) // hooks
+    """Number of standard Young tableaux of shape rho, by Frobenius' formula
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i! on the shifted rows
+    l_i = rho_i + p - 1 - i of a p-row rho (i 0-based), in O(p^2) products."""
+    p = len(rho.parts)
+    shifted = [row + p - 1 - i for i, row in enumerate(rho.parts)]
+    num = math.factorial(rho.size)
+    for i, a in enumerate(shifted):
+        for b in shifted[i + 1:]:
+            num *= a - b
+    return num // math.prod(math.factorial(a) for a in shifted)
 
 
 @lru_cache(maxsize=None)

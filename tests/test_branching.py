@@ -63,6 +63,7 @@ def test_enumerate_Pn_sweeps_no_candidates(monkeypatch):
 
     monkeypatch.setattr(branching, "enumerate_lambda_rho", unreachable)
     monkeypatch.setattr(branching, "b_coefficient", unreachable)
+    monkeypatch.setattr(branching, "positive_lines", branching.positive_lines.__wrapped__)
     for theta, n in ((2, 12), (3, 7), (4, 6)):
         branching.enumerate_Pn.__wrapped__(n, theta)
 
@@ -84,6 +85,7 @@ def test_enumerate_Pn_theta3_needs_no_lr_tableaux(monkeypatch):
     for name in calls:
         monkeypatch.setattr(branching, name, counting(name))
     monkeypatch.setattr(branching, "_restriction", branching._restriction.__wrapped__)
+    monkeypatch.setattr(branching, "positive_lines", branching.positive_lines.__wrapped__)
     enumerate_Pn.__wrapped__(40, 3)
     assert calls == {"cell_branching": 0, "partitions_inside": 0}
     enumerate_Pn.__wrapped__(6, 4)  # the counters see the theta >= 4 route
@@ -94,6 +96,7 @@ def test_enumerate_Pn_theta3_needs_no_lr_tableaux(monkeypatch):
 # rule gives it at every theta, theta = 3 included
 _ENUMERATION_SHA256 = {
     (2, 60): "4e795b8a95cb146652ccc84e95da1b8a40ff8edfb9528df7a4762a28976835fe",
+    (2, 140): "4a2b165f46161e6409dd6219a77bcb3933b6892666a7e3a34f418f007be252da",
     (2, 200): "0b2fc12367691d9a7b6f09fd832ffe738d3dbb17a3758865beee388546adcc32",
     (3, 40): "a0bdc27eb30cf4ec5f083a406a6b3b062a944438333a4f5a29c9e9554c7cf218",
     (3, 41): "88ce7e7a0b1963aa7114327f07c1c314f42d063a046e9d16f78ad131833d966a",

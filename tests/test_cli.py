@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -194,15 +195,24 @@ def test_total_spin_rejects_n_below_one():
 
 
 def test_overflowing_couplings_exit_2():
-    # finite couplings whose products overflow: exit 2, never nan or inf
+    # finite couplings whose products overflow: exit 2 with a message naming
+    # them, never nan or inf, and no numpy RuntimeWarning on the way
+    sized = ("--theta", "2", "--n", "4", "--p1", "1e308", "--p2", "1e308")
     for args in (
-        ("spectrum", "--theta", "2", "--n", "4", "--p1", "1e308", "--p2", "1e308"),
-        ("branching", "--theta", "2", "--n", "4", "--p1", "1e308", "--p2", "1e308"),
+        ("spectrum", *sized),
+        ("branching", *sized),
+        ("zchar", *sized),
+        ("zexact", *sized),
         ("free-energy", "--theta", "2", "--p1", "1e308", "--p2", "1e308"),
     ):
-        res = run(*args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run(*args)
         assert res.exit_code == 2, args
         assert "overflow" in res.output, args
+        assert "L1=1e+308, L2=1e+308" in res.stderr, args
+        assert "RuntimeWarning" not in res.stderr, args
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
         for word in ("Traceback", "nan", "inf", "Infinity"):
             assert word not in res.output, (args, word)
 

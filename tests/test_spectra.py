@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from orthospin import branching
+from orthospin import branching, partitions
 from orthospin.brauer import (
     embed_pair,
     pair_p_matrix,
@@ -20,6 +22,7 @@ from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariant
 from orthospin.spectra import (
     HamiltonianSpec,
     build_hamiltonian,
+    build_line_table,
     line_table,
     convert_parameters,
     default_w,
@@ -530,3 +533,60 @@ def test_partition_functions_reject_overflow():
         z_decomposed(60, 2, -200.0, 0.0)
     with pytest.raises(ValueError, match="log Z"):
         z_direct(HamiltonianSpec(2, 4, 2000.0, 0.5))
+
+
+def _clear_caches():
+    """Empty every functools cache of the orthospin modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orthospin"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_line_table_builds_no_pairs(monkeypatch):
+    # the character route reads the positive lines as index arrays: no
+    # LambdaRhoPair is built and enumerate_Pn is not called on the way to Z
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"pair or enumerate_Pn reached with {args!r}")
+
+    _clear_caches()
+    monkeypatch.setattr(LambdaRhoPair, "__post_init__", unreachable)
+    for module in (partitions, branching):
+        monkeypatch.setattr(module, "_trusted_pair", unreachable, raising=False)
+    monkeypatch.setattr(branching, "enumerate_Pn", unreachable)
+    line_table(60, 3)
+    assert z_decomposed(60, 3, 0.9, 0.4, h=0.3) > 0.0
+
+
+@pytest.mark.parametrize("theta,nmax", [(2, 12), (3, 10), (4, 8), (5, 7), (6, 6)])
+def test_line_table_matches_pair_converter(theta, nmax):
+    # the cached table of positive_lines against the builder fed from
+    # enumerate_Pn through index_pairs, the converter of the --oracle path
+    for n in range(1, nmax + 1):
+        table = line_table(n, theta)
+        other = build_line_table(branching.index_pairs(n, branching.enumerate_Pn(n, theta)),
+                                 theta)
+        for name in ("c_rho", "c_lam", "log_weight"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(other, name))
+        assert list(table.rows()) == list(other.rows()), (theta, n)
+        for field in dataclasses.fields(table.weights):
+            np.testing.assert_array_equal(getattr(table.weights, field.name),
+                                          getattr(other.weights, field.name))
+
+
+def test_index_pairs_checks_sizes():
+    # every rho must have n boxes, and the size check of the pairs runs
+    # once per distinct label: n - |lambda| must be even and non-negative
+    lines = branching.enumerate_Pn(4, 2)
+    for n in (2, 3, 5, 6):
+        with pytest.raises(ValueError, match="size mismatch"):
+            branching.index_pairs(n, lines)
+    with pytest.raises(ValueError, match="size mismatch"):
+        branching._index_lines(3, [Partition([2, 1])], [Partition([2])], [0], [0], [1])
+    # lines with b = 0 are dropped
+    got = branching.index_pairs(4, lines + ((LambdaRhoPair(EMPTY, 2, Partition([3, 1])), 0),))
+    want = branching.positive_lines(4, 2)
+    assert (got.n, got.rhos, got.lams) == (want.n, want.rhos, want.lams)
+    for name in ("rho_index", "lam_index", "b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
