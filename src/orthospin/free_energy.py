@@ -22,7 +22,10 @@ so the first one does not depend on the last bits of the couplings.
 
 The spin-1 boundary curve C runs on the same functional, grid and Newton:
 on the theta=3 ordered simplex with y_1 = x_1 - x_3 the wedge functional is
-phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).
+phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).  One scan gives the signed excess
+of its best value over the symmetric one and, by the envelope theorem, the
+excess's J2-derivative; membership is the sign of the excess, and the curve
+is its root in J2, found by a Newton iteration safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -152,6 +155,8 @@ def _grid_values(theta: int, step: float, L1: float, L2: float,
 _GRID_STEP = {2: 1e-3, 3: 1e-3, 4: 0.01, 5: 0.02, 6: 0.025}
 # grid step of the curve-C predicate (theta = 3)
 _CURVE_C_STEP = 0.004
+# width below which trace_curve_C stops narrowing the bracket of a boundary J2
+_CURVE_C_TOL = 1e-11
 # Newton stalls short of a maximiser where the Hessian is singular (at the
 # symmetric point on J2 = 2 J1 - 3 it stops ~2e-5 away), so refined limits
 # closer than this in max-norm count as one maximiser
@@ -211,6 +216,35 @@ def _block_derivatives(sizes: Sequence[int], L1: float, L2: float, habs: float, 
     return grad, hess
 
 
+def _solve(a: List[List[float]], b: List[float]) -> Optional[List[float]]:
+    """The solution of a x = b by Gaussian elimination with partial pivoting,
+    or None at a zero pivot.  The systems of _grouped_newton have at most
+    theta - 1 unknowns, so numpy's call overhead would outweigh the arithmetic."""
+    m = len(b)
+    rows = [row + [v] for row, v in zip(a, b)]
+    for k in range(m):
+        p = k
+        for i in range(k + 1, m):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        piv = rows[p]
+        if piv[k] == 0.0:
+            return None
+        rows[p], rows[k] = rows[k], piv
+        for row in rows[k + 1:]:
+            f = row[k] / piv[k]
+            for j in range(k + 1, m + 1):
+                row[j] -= f * piv[j]
+    x = [0.0] * m
+    for k in range(m - 1, -1, -1):
+        row = rows[k]
+        s = row[m]
+        for j in range(k + 1, m):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
 def _grouped_newton(L1: float, L2: float, habs: float,
                     x0: Tuple[float, ...]) -> Optional[Tuple[float, Tuple[float, ...]]]:
     """Newton ascent treating blocks of equal coordinates as single variables,
@@ -247,9 +281,8 @@ def _grouped_newton(L1: float, L2: float, habs: float,
         grad, hess = _block_derivatives(sizes, L1, L2, habs, g, face)
         if not grad or max(map(abs, grad)) < 1e-11:
             break
-        try:
-            step = np.linalg.solve(hess, grad).tolist()
-        except np.linalg.LinAlgError:
+        step = _solve(hess, grad)
+        if step is None:
             return None
         if sum(gj * sj for gj, sj in zip(grad, step)) >= 0.0:
             # the update free - scale*step does not ascend (the Hessian is
@@ -483,6 +516,33 @@ def quadratic_alpha(J1: float, J2: float) -> float:
 # ---------------------------------------------------------------------------
 # the spin-1 boundary curve
 
+def _region_excess(J1: float, J2: float) -> Tuple[float, float]:
+    """(excess, d excess / dJ2) of the best value of phi over R at (J1, J2).
+
+    excess is the best grid or refined value of the wedge functional
+    phi(3, L1=J1, L2=J2-J1) minus (symmetric value + REGION_TOL): the
+    predicate scans the grid of step _CURVE_C_STEP and refines its 12 best
+    points with the Newton of maximize_phi.  phi_R is affine in J2 at fixed
+    x, so by the envelope theorem the slope is its J2-derivative at the point
+    x that attains the best value, (sum x_i^2 - (x_1 - x_3)^2) / 2, less 1/6
+    for the symmetric value.
+    """
+    require_finite(J1=J1, J2=J2)
+    if J2 > J1:
+        raise ValueError(f"the wedge J1 >= J2 is required, got J1={J1!r}, J2={J2!r}")
+    L1, L2 = J1, J2 - J1
+    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
+    grid, vals = _grid_values(3, _CURVE_C_STEP, L1, L2, 0.0)
+    order = np.argsort(vals)[::-1][:12]
+    best, x = float(vals[order[0]]), tuple(grid[order[0]])
+    for i in order:
+        res = _grouped_newton(L1, L2, 0.0, _interior(grid[i]))
+        if res is not None and res[0] > best:
+            best, x = res
+    slope = 0.5 * (sum(v * v for v in x) - (x[0] - x[2]) ** 2) - 1.0 / 6.0
+    return best - bar, slope
+
+
 def in_disordered_region(J1: float, J2: float) -> bool:
     """Is the symmetric point the global maximiser of phi over R at (J1, J2)?
 
@@ -490,37 +550,36 @@ def in_disordered_region(J1: float, J2: float) -> bool:
     J1 >= J2 the inner y maximisation of phi(3, L1=J1, L2=J2-J1) puts y_1
     there, so the predicate scans that phi on the grid of step
     _CURVE_C_STEP and refines the 12 best grid points with the Newton of
-    maximize_phi.  It answers False as soon as a grid or refined value
-    exceeds the symmetric value by more than REGION_TOL.
+    maximize_phi.  It answers False when a grid or refined value exceeds the
+    symmetric value by more than REGION_TOL (_region_excess is positive).
+    Couplings outside the wedge or not finite raise ValueError.
     """
-    if J2 > J1:
-        raise ValueError(f"the wedge J1 >= J2 is required, got J1={J1!r}, J2={J2!r}")
-    L1, L2 = J1, J2 - J1
-    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
-    grid, vals = _grid_values(3, _CURVE_C_STEP, L1, L2, 0.0)
-    order = np.argsort(vals)[::-1][:12]
-    if vals[order[0]] > bar:
-        return False
-    for i in order:
-        res = _grouped_newton(L1, L2, 0.0, _interior(grid[i]))
-        if res is not None and res[0] > bar:
-            return False
-    return True
+    return _region_excess(J1, J2)[0] <= 0.0
 
 
 def trace_curve_C(resolution: int = 40,
                   j1_min: float = 1.9) -> List[Tuple[float, float]]:
     """Boundary of the spin-1 disordered region inside the wedge J1 >= J2.
 
-    For each J1 on a grid the boundary J2 is found by bisecting the
-    membership predicate vertically (moving straight down eventually leaves
-    the region, so membership along that ray is monotone).  The polyline
-    follows the straight piece J2 = 2 J1 - 3 below (9/4, 3/2) and the convex
-    arc joining (9/4, 3/2) to (log 16, log 16).
+    For each J1 on a grid the boundary J2 is the root of _region_excess along
+    the vertical (moving straight down eventually leaves the region, so
+    membership along that ray is monotone).  A Newton iteration safeguarded
+    in the style of rtsafe finds it, from the bottom of the bracket: it takes
+    the Newton step J2 - excess / slope from the last point when that lands
+    strictly inside the bracket and is at most half the step before last,
+    and bisects otherwise; once the step is below the tolerance it probes
+    0.4 of the tolerance either side of the predicted root.  Every bracket
+    end is certified by the sign of the excess, as the predicate decides, and
+    the returned J2 is the midpoint of a bracket narrower than 1e-11.  The polyline follows
+    the straight piece J2 = 2 J1 - 3 below (9/4, 3/2) and the convex arc
+    joining (9/4, 3/2) to (log 16, log 16).
     """
     if resolution < 10:
         raise ValueError("resolution >= 10 required")
+    require_finite(j1_min=j1_min)
     j1_max = LOG16 - 2e-3
+    if j1_min >= j1_max:
+        raise ValueError(f"j1_min must lie below {j1_max!r}, where curve C ends; got {j1_min!r}")
     grid = [j1_min + (j1_max - j1_min) * i / (resolution - 1) for i in range(resolution)]
     # always sample the junction of the straight piece and the arc
     if j1_min < 2.25 < j1_max:
@@ -529,17 +588,37 @@ def trace_curve_C(resolution: int = 40,
     for J1 in sorted(grid):
         hi = min(J1, LOG16) - 1e-9  # inside the region
         lo = 2 * J1 - 3.0 - 0.5  # comfortably outside
-        if not in_disordered_region(J1, hi):
-            raise RuntimeError(f"bisection bracket broken at J1={J1}: top not inside")
-        if in_disordered_region(J1, lo):
-            raise RuntimeError(f"bisection bracket broken at J1={J1}: bottom not outside")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if in_disordered_region(J1, mid):
-                hi = mid
+        if _region_excess(J1, hi)[0] > 0.0:
+            raise RuntimeError(f"bracket broken at J1={J1}: top not inside")
+        J2 = lo
+        excess, slope = _region_excess(J1, lo)
+        if excess <= 0.0:
+            raise RuntimeError(f"bracket broken at J1={J1}: bottom not outside")
+        last = before = hi - lo  # sizes of the last step and of the one before it
+        for _ in range(100):
+            step = excess / slope if slope != 0.0 else math.inf
+            if abs(step) < _CURVE_C_TOL:
+                # the root is within the tolerance: bracket it closely
+                probes = [J2 - step - 0.4 * _CURVE_C_TOL, J2 - step + 0.4 * _CURVE_C_TOL]
+            elif abs(step) <= 0.5 * before:
+                probes = [J2 - step]
             else:
-                lo = mid
-            if hi - lo < 1e-11:
+                probes = []
+            probes = [p for p in probes if lo < p < hi]
+            if not probes:
+                step, probes = 0.5 * (hi - lo), [0.5 * (lo + hi)]
+            before, last = last, abs(step)
+            for probe in probes:
+                if lo < probe < hi:  # the first probe may have moved an end
+                    J2 = probe
+                    excess, slope = _region_excess(J1, J2)
+                    if excess > 0.0:
+                        lo = J2
+                    else:
+                        hi = J2
+            if hi - lo < _CURVE_C_TOL:
                 break
+        else:
+            raise RuntimeError(f"no boundary J2 within {_CURVE_C_TOL} at J1={J1} after 100 steps")
         out.append((J1, 0.5 * (lo + hi)))
     return out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from orthospin.free_energy import (
     one_sided_derivatives,
     phi,
     quadratic_alpha,
+    trace_curve_C,
 )
 from orthospin.spectra import convert_parameters
 
@@ -383,6 +385,105 @@ def test_in_disordered_region_needs_the_wedge():
     for J1, J2 in ((2.0, 2.0 + 1e-9), (0.0, 1.0), (-1.0, 3.0)):
         with pytest.raises(ValueError):
             in_disordered_region(J1, J2)
+
+
+@pytest.mark.parametrize("J1, J2", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0),
+                                     (2.0, -math.inf)])
+def test_in_disordered_region_rejects_non_finite_couplings(J1, J2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            in_disordered_region(J1, J2)
+
+
+@pytest.mark.parametrize("j1_min", [math.nan, math.inf, 3.0, fe.LOG16 - 2e-3])
+def test_trace_curve_c_rejects_j1_min_before_any_scan(monkeypatch, j1_min):
+    # nan used to break the bracket ("bottom not outside") and 3.0, past the
+    # end of the curve, to leave the top of the bracket outside the region
+    def no_scan(J1, J2):
+        raise AssertionError(f"scanned at ({J1}, {J2})")
+
+    monkeypatch.setattr(fe, "_region_excess", no_scan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="j1_min"):
+            trace_curve_C(10, j1_min=j1_min)
+
+
+def _bisected_curve_C(resolution, j1_min):
+    """Curve C by bisecting in_disordered_region down to a bracket of 1e-11
+    on the J1 grid of trace_curve_C (reference)."""
+    j1_max = LOG16 - 2e-3
+    grid = [j1_min + (j1_max - j1_min) * i / (resolution - 1) for i in range(resolution)]
+    if j1_min < 2.25 < j1_max:
+        grid.append(2.25)
+    out = []
+    for J1 in sorted(grid):
+        hi = min(J1, LOG16) - 1e-9
+        lo = 2 * J1 - 3.0 - 0.5
+        assert in_disordered_region(J1, hi) and not in_disordered_region(J1, lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if in_disordered_region(J1, mid):
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-11:
+                break
+        out.append((J1, 0.5 * (lo + hi)))
+    return out
+
+
+@pytest.mark.parametrize("j1_min", [2.1, 1.9])
+def test_curve_c_newton_matches_bisection(j1_min):
+    got = trace_curve_C(10, j1_min=j1_min)
+    want = _bisected_curve_C(10, j1_min)
+    assert [a for a, _ in got] == [a for a, _ in want]
+    assert max(abs(b - c) for (_, b), (_, c) in zip(got, want)) <= 1e-10
+
+
+def test_curve_c_newton_needs_few_evaluations(monkeypatch):
+    # bisection down to 1e-11 takes about 39 evaluations per J1
+    calls = []
+    region_excess = fe._region_excess
+
+    def counted(J1, J2):
+        calls.append(J1)
+        return region_excess(J1, J2)
+
+    monkeypatch.setattr(fe, "_region_excess", counted)
+    pts = trace_curve_C(10, j1_min=2.1)
+    assert len(calls) <= 20 * len(pts), len(calls) / len(pts)
+
+
+def test_region_excess_slope_is_its_j2_derivative():
+    # the envelope theorem: d excess / dJ2 at the best point, on the arc, on
+    # the straight piece and inside the region
+    for J1, J2 in ((2.5, 1.9), (2.1, 1.1), (2.0, 1.5)):
+        d = 1e-6
+        up, down = fe._region_excess(J1, J2 + d)[0], fe._region_excess(J1, J2 - d)[0]
+        assert fe._region_excess(J1, J2)[1] == pytest.approx((up - down) / (2 * d), abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_solve_matches_numpy_on_well_conditioned_systems(m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    a += np.diag(np.sign(rng.uniform(-1.0, 1.0, m)) * (1.0 + np.abs(a).sum(axis=1)))
+    a *= 10.0 ** rng.uniform(-3.0, 3.0)
+    b = rng.uniform(-1.0, 1.0, m)
+    x = fe._solve(a.tolist(), b.tolist())
+    want = np.linalg.solve(a, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * (np.linalg.norm(a) * np.linalg.norm(x)
+                                                 + np.linalg.norm(b))
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solve_returns_none_at_a_zero_pivot():
+    for a in ([[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],
+              [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]):
+        assert fe._solve(a, [1.0] * len(a)) is None, a
 
 
 def test_one_maximiser_on_the_straight_piece():
