@@ -27,12 +27,24 @@ acts on the sector of charges q as the scalar sum_k y_k q_k, with +-y_k the
 torus weights of W; a W that breaks the form is rejected.  The global flip
 F (digit i -> theta-1-i on every site) lies in O(theta), so it commutes
 with sum T and sum B and maps sector q onto -q: flip_reduce keeps one block
-per +-q pair and splits q = 0 into its F-even and F-odd halves.  z_direct
-therefore diagonalizes each reduced block once per coupling and weights it
-by the sum of exp(h sum_k y_k q_k) over the charges it stands for.  The
+per +-q pair and splits q = 0 into its F-even and F-odd halves.  The
 blocks come from index arithmetic on the base-theta digits of the basis
 states, and the same assembler gives the standard-basis operators (one
-sector) used by build_hamiltonian and the ground-state checks.
+sector) used by build_hamiltonian and the ground-state checks.  At odd
+theta both flavors' pair vectors are symmetric, so P shares Q's blocks and
+cache entries.
+
+sum T and sum B commute, and their joint eigenvalues are integers: c(rho)
+and c(rho) - c(lambda) + k(theta - 1) on the line (lambda, k, rho).
+joint_spectrum solves K sum T + sum B once per reduced block and size, with
+K = 2 C(n,2) theta + 1 larger than twice the norm of sum B, and decodes each
+rounded eigenvalue into its pair (t, b); it raises ValueError, and never
+yields a Z, when an eigenvalue lies off the integer lattice, when a
+Freivalds probe finds that the blocks do not commute, or when the decoded
+t or b do not sum to the block's trace.  z_direct then needs no eigensolve:
+log Z is one log-sum over the distinct (t, b) of every block of
+log(multiplicity) + (L1 t + L2 b)/n plus the block's field weight, the log
+of the sum of exp(h sum_k y_k q_k) over the charges it stands for.
 
 Character route
 ---------------
@@ -68,7 +80,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +93,8 @@ from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
 TOTAL_SPIN_TOL = 1e-9  # total_spin_observable: route gap over max(1, |value|)
+LATTICE_TOL = 1e-6  # joint_spectrum: distance of an eigenvalue from the integers
+COMMUTE_TOL = 1e-12  # joint_spectrum: |T(Bv) - B(Tv)| over |T| |B| |v|
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
@@ -296,7 +310,20 @@ def flip_reduce(basis: SectorBasis,
     return charges, reduced
 
 
-@lru_cache(maxsize=32)
+def _cached_per_model(fn):
+    """lru_cache for fn(theta, n, flavor) that keys flavor P at odd theta as
+    Q, whose torus-basis blocks are the same (see sector_pair_ops)."""
+    cached = lru_cache(maxsize=32)(fn)
+
+    @wraps(fn)
+    def lookup(theta: int, n: int, flavor: str):
+        return cached(theta, n, "Q" if flavor == "P" and theta % 2 else flavor)
+
+    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
+    return lookup
+
+
+@_cached_per_model
 def sector_pair_ops(theta: int, n: int,
                     flavor: str) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
     """(charges, blocks of sum T, blocks of sum B) in the torus basis,
@@ -315,6 +342,67 @@ def sector_pair_ops(theta: int, n: int,
     sum_t, sum_b = _pair_sums(basis, np.arange(theta)[::-1], signs)
     charges, sum_t = flip_reduce(basis, sum_t)
     return charges, sum_t, flip_reduce(basis, sum_b)[1]
+
+
+@dataclass(frozen=True)
+class JointSpectrum:
+    """The joint eigenvalues (t, b) of sum T and sum B on the reduced blocks
+    of sector_pair_ops: each distinct pair of a block once, with block[i]
+    the block of pair i and log_mult[i] the log of its multiplicity there;
+    charges[k] are the charges block k stands for."""
+
+    charges: List[np.ndarray]
+    block: np.ndarray
+    t: np.ndarray
+    b: np.ndarray
+    log_mult: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.block, self.t, self.b, self.log_mult):
+            a.setflags(write=False)  # the spectrum is cached and shared
+
+
+@_cached_per_model
+def joint_spectrum(theta: int, n: int, flavor: str) -> JointSpectrum:
+    """The joint spectrum of sum T and sum B, one eigensolve per reduced block.
+
+    Every B_{x,y} has norm theta, so |b| <= bound = C(n,2) theta, and each
+    eigenvalue r = K t + b of K sum T + sum B, K = 2 bound + 1, decodes as
+    t = floor((r + bound) / K), b = r - K t.  ValueError, naming the block,
+    when a fixed-seed Freivalds probe finds T B != B T, when an eigenvalue
+    lies more than LATTICE_TOL off the integers, or when the decoded t or b
+    do not sum to the trace of the block of sum T or sum B.
+    """
+    charges, blocks_t, blocks_b = sector_pair_ops(theta, n, flavor)
+    bound = math.comb(n, 2) * theta
+    scale = 2 * bound + 1
+    probe = np.random.default_rng(0)
+    block, pairs, counts = [], [], []
+    for k, (t, b) in enumerate(zip(blocks_t, blocks_b)):
+        where = f"block {k} of theta={theta}, n={n}, flavor {flavor}"
+        v = probe.standard_normal(len(t))
+        residual = np.linalg.norm(t @ (b @ v) - b @ (t @ v))
+        if not residual <= COMMUTE_TOL * np.linalg.norm(t) * np.linalg.norm(b) * np.linalg.norm(v):
+            raise ValueError(f"sum T and sum B do not commute on {where}: "
+                             f"Freivalds residual {residual:.3g}")
+        r = np.linalg.eigvalsh(scale * t + b)
+        lattice = np.rint(r)
+        off = float(np.max(np.abs(r - lattice)))
+        if not off <= LATTICE_TOL:
+            raise ValueError(f"an eigenvalue of {scale} sum T + sum B on {where} "
+                             f"lies {off:.3g} off the integer lattice")
+        t_k, b_k = np.divmod(lattice.astype(np.int64) + bound, scale)
+        b_k -= bound
+        if t_k.sum() != np.trace(t) or b_k.sum() != np.trace(b):
+            raise ValueError(f"the decoded joint eigenvalues on {where} do not sum "
+                             "to the traces of sum T and sum B")
+        distinct, count = np.unique(np.stack([t_k, b_k], 1), axis=0, return_counts=True)
+        block.append(np.full(len(count), k))
+        pairs.append(distinct)
+        counts.append(count)
+    t_all, b_all = np.concatenate(pairs).T.astype(float)
+    return JointSpectrum(charges, np.concatenate(block), t_all, b_all,
+                         np.log(np.concatenate(counts)))
 
 
 def field_weights(spec: HamiltonianSpec) -> np.ndarray:
@@ -491,31 +579,31 @@ def _z_from_log(log_z: float, **couplings: float) -> float:
 
 
 def z_direct(spec: HamiltonianSpec) -> float:
-    """tr[exp(-H0/n) exp(h sum_x W_x)] by dense diagonalization.
+    """tr[exp(-H0/n) exp(h sum_x W_x)] from the dense joint spectrum.
 
-    The field couples per site (not divided by n).  H0 is diagonalized block
-    by block in the torus basis, where exp(h sum_x W_x) is the scalar
-    exp(h sum_k y_k q_k) on the sector of charges q, so every h reuses the
-    same blocks; W must preserve the flavor's pair form.  Each +-q pair of
-    sectors is solved once and enters with the weight
+    The field couples per site (not divided by n).  H0 = -(L1 sum T + L2
+    sum B) is read off joint_spectrum, which solves each reduced block of
+    the torus basis once per size: a call is one log-sum over the distinct
+    (t, b) of every block of log(multiplicity) + (L1 t + L2 b)/n, with no
+    eigensolve after the first call per (theta, n, flavor).  On the sector
+    of charges q, exp(h sum_x W_x) is the scalar exp(h sum_k y_k q_k), so
+    every h reuses the same spectrum; W must preserve the flavor's pair
+    form.  A block of a +-q pair of sectors enters with the weight
     log(exp(h q.y) + exp(-h q.y)); the F-even and F-odd halves of q = 0
     each enter with weight 1.  Only the default W = default_w(theta) has a
     character-route counterpart (z_decomposed); a scaled s W at h is the
-    default W at s h.  ValueError when the couplings overflow a scaled
-    block or log Z.
+    default W at s h.  ValueError when the couplings overflow a block's
+    eigenvalues or log Z, or when the joint spectrum fails its checks.
     """
     _check_cap(spec.theta, spec.n)
-    charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
+    joint = joint_spectrum(spec.theta, spec.n, spec.flavor)
     y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
-    log_blocks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, t, b in zip(charges, blocks_t, blocks_b):
-            block = (spec.L1 * t + spec.L2 * b) / spec.n
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"L1={spec.L1!r}, L2={spec.L2!r} overflow the dense blocks")
-            log_blocks.append(_logsumexp(spec.h * (q @ y))
-                              + _logsumexp(np.linalg.eigvalsh(block)))
-        log_z = _logsumexp(np.array(log_blocks))
+        exponents = (spec.L1 * joint.t + spec.L2 * joint.b) / spec.n
+        if not np.all(np.isfinite(exponents)):
+            raise ValueError(f"L1={spec.L1!r}, L2={spec.L2!r} overflow the dense blocks")
+        fields = np.array([_logsumexp(spec.h * (q @ y)) for q in joint.charges])
+        log_z = _logsumexp(fields[joint.block] + joint.log_mult + exponents)
     return _z_from_log(log_z, L1=spec.L1, L2=spec.L2, h=spec.h)
 
 

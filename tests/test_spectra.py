@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from orthospin import branching, partitions
+from orthospin import branching, partitions, spectra
 from orthospin.brauer import (
     embed_pair,
     pair_p_matrix,
@@ -27,7 +29,9 @@ from orthospin.spectra import (
     convert_parameters,
     default_w,
     dimer_ground_state,
+    field_weights,
     ising_product_states,
+    joint_spectrum,
     line_eigenvalue,
     pair_form,
     sector_basis,
@@ -295,8 +299,9 @@ def test_total_spin_limits():
 
 
 def test_dense_cap_enforced(monkeypatch):
+    z_direct(HamiltonianSpec(2, 4, 1.0, 1.0))  # the cap binds on a cached size too
     monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds cap 8"):
         z_direct(HamiltonianSpec(2, 4, 1.0, 1.0))
     monkeypatch.delenv("ORTHO_SPIN_DENSE_CAP")
     sum_pair_ops.cache_clear()
@@ -439,7 +444,10 @@ def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
 
 
 def test_z_direct_solves_each_charge_pair_once(monkeypatch):
-    # one eigensolve per +-q sector pair and two (F-even, F-odd) for q = 0
+    # the first z_direct of a size, after a cache clear, solves one block per
+    # +-q sector pair and two (F-even, F-odd) for q = 0; later calls, at new
+    # couplings and fields, solve no block: at h != 0 the one eigvalsh left
+    # is field_weights' solve of the theta x theta field matrix W
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -447,17 +455,93 @@ def test_z_direct_solves_each_charge_pair_once(monkeypatch):
         calls.append(len(a))
         return eigvalsh(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for theta, n, flavor in ((2, 4, "Q"), (2, 7, "P"), (3, 4, "Q"), (3, 5, "P"),
                              (4, 3, "Q"), (4, 4, "P"), (5, 3, "Q")):
         sizes = sector_basis(theta, n).sizes
-        sector_pair_ops(theta, n, flavor)  # assembled outside the count
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        joint_spectrum.cache_clear()
         calls.clear()
         z_direct(HamiltonianSpec(theta, n, 0.9, -0.4, flavor=flavor))
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         neutral = len(sizes) % 2
         assert len(calls) == len(sizes) // 2 + 2 * neutral, (theta, n, flavor)
         assert sum(calls) == (theta**n + sizes[len(sizes) // 2] * neutral) // 2
+        calls.clear()
+        z_direct(HamiltonianSpec(theta, n, -1.3, 1.7, h=0.8, flavor=flavor))
+        assert calls == [theta], (theta, n, flavor)
+        calls.clear()
+        z_direct(HamiltonianSpec(theta, n, 0.2, 0.6, flavor=flavor))
+        assert calls == [], (theta, n, flavor)
+
+
+def test_odd_theta_p_shares_the_q_cache_entries():
+    # at odd theta both pair vectors are symmetric: the blocks are the same
+    for theta, n in ((3, 3), (3, 6), (3, 7), (5, 4)):
+        assert sector_pair_ops(theta, n, "P") is sector_pair_ops(theta, n, "Q")
+        assert joint_spectrum(theta, n, "P") is joint_spectrum(theta, n, "Q")
+    for theta in (2, 4):
+        assert sector_pair_ops(theta, 3, "P") is not sector_pair_ops(theta, 3, "Q")
+
+
+@pytest.mark.parametrize("t, b, reason", [
+    ([[1.0, 0.0], [0.0, 2.0]], [[0.25, 0.0], [0.0, 0.0]], "off the integer lattice"),
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], "do not commute"),
+    ([[0.0, 0.0], [0.0, 0.0]], [[7.0, 0.0], [0.0, 0.0]], "traces"),
+])
+def test_bad_joint_spectrum_raises(monkeypatch, t, b, reason):
+    # blocks with a spectrum off the integers, blocks that do not commute,
+    # and a sum B past the decode bound (2 at theta = n = 2): no Z
+    def blocks(theta, n, flavor):
+        return [np.zeros((1, 1), dtype=np.int64)], [np.array(t)], [np.array(b)]
+
+    joint_spectrum.cache_clear()
+    monkeypatch.setattr(spectra, "sector_pair_ops", blocks)
+    try:
+        with pytest.raises(ValueError, match=reason):
+            z_direct(HamiltonianSpec(2, 2, 0.9, -0.4))
+    finally:
+        joint_spectrum.cache_clear()
+
+
+def _z_by_block_solves(spec):
+    """Z as z_direct computed it before the joint spectrum: one eigvalsh of
+    (L1 t + L2 b)/n per reduced block and coupling."""
+    charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
+    y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
+    lse = scipy.special.logsumexp
+    return math.exp(lse([lse(spec.h * (q @ y))
+                         + lse(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
+                         for q, t, b in zip(charges, blocks_t, blocks_b)]))
+
+
+joint_sizes_st = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 10)), st.tuples(st.just(3), st.integers(1, 6)),
+    st.tuples(st.just(4), st.integers(1, 5)), st.tuples(st.just(5), st.integers(1, 4)),
+    st.tuples(st.integers(6, 9), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_sizes_st, st.sampled_from("QP"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.sampled_from([0.0, 0.3, -0.7, 1.5]))
+def test_z_direct_matches_block_solves(size, flavor, L1, L2, h):
+    theta, n = size
+    spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor)
+    if h and not _preserves(spec.field_matrix, theta, flavor):
+        with pytest.raises(ValueError, match="pair form"):
+            z_direct(spec)
+        return
+    ref = _z_by_block_solves(spec)
+    assert abs(z_direct(spec) - ref) <= 1e-12 * ref
+
+
+def test_z_direct_rejects_overflowing_couplings():
+    # finite couplings that overflow L1 t + L2 b: ValueError, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for theta, flavor in ((2, "Q"), (3, "P"), (4, "P")):
+            for L1, L2 in ((1e308, 1e308), (-1e308, 1e308), (1e308, 0.0)):
+                with pytest.raises(ValueError, match="overflow the dense blocks"):
+                    z_direct(HamiltonianSpec(theta, 4, L1, L2, h=0.5, flavor=flavor))
 
 
 def test_z_decomposed_flavor_p():
