@@ -17,8 +17,9 @@ restriction takes one of three rules:
   J. Phys. A 8 (1975) 429; K. Koike and I. Terada, J. Algebra 107 (1987)
   466).
 
-The dense spectral extraction is a check; it places the lines by
-spectra.line_eigenvalue.
+The dense spectral extraction is a check; it reads the eigenspace of each
+line off the joint integer spectrum of sum T and sum B
+(spectra.joint_spectrum).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .tableaux import cell_branching, dim_sn
 
 
 class UnresolvedExtractionError(RuntimeError):
-    """Raised when eigenvalue collisions cannot be resolved; shrink n."""
+    """Raised when the dense spectrum does not determine every b."""
 
 
 def _validate_pair(pair: LambdaRhoPair, theta: int) -> None:
@@ -316,117 +317,53 @@ def enumerate_Pn(n: int, theta: int) -> Tuple[Tuple[LambdaRhoPair, int], ...]:
 # ---------------------------------------------------------------------------
 # spectral extraction oracle
 
-def _three_cycle_blocks(theta: int, n: int, keyed: bool = True):
-    """Sum of all 3-cycles acting by place permutation: the charge-sector
-    blocks reduced by the global flip, in the order of
-    spectra.sector_pair_ops (a single block in the standard basis when not
-    keyed)."""
-    from .spectra import flip_reduce, sector_basis
-
-    cycles = []
-    for x, y, z in itertools.combinations(range(n), 3):
-        for cyc in ((y, z, x), (z, x, y)):
-            sigma = list(range(n))
-            sigma[x], sigma[y], sigma[z] = cyc
-            cycles.append(sigma)
-    basis = sector_basis(theta, n, keyed)
-    blocks = basis.permutation_sum(cycles)
-    return flip_reduce(basis, blocks)[1] if keyed else blocks
-
-
-def _omega3(rho: Partition) -> float:
-    """Scalar of the 3-cycle class sum on the rho irreducible:
-    sum of squared contents minus C(n,2)."""
-    total = 0
-    for i, row in enumerate(rho.parts):
-        for j in range(row):
-            total += (j - i) ** 2
-    n = rho.size
-    return float(total - n * (n - 1) // 2)
-
-
-_MAX_RESAMPLES = 10
-
-
 def spectral_extract_branching(n: int, theta: int,
                                seed: int = 0) -> List[Tuple[LambdaRhoPair, int]]:
-    """Read b off the dense spectrum of H(L1, L2) at couplings drawn from seed.
+    """Read b off the dense joint integer spectrum of sum T and sum B.
 
-    Candidates sharing the exact integer invariants (c(rho), c(lambda) +
-    k(1-theta)) collide at every parameter choice.  Each such group is solved
-    by one rule: the b with 0 <= b <= btilde (the cell-module bound) whose
-    sum of b d_O d_Sn is the measured eigenspace dimension, filtered by the
-    3-cycle class sum restricted to the eigenspace when more than one is.
-    The spectrum is read off the flip-reduced blocks of
-    spectra.sector_pair_ops: each block's eigenvalues count once per charge
-    it stands for (twice for a +-q pair, once for a half of q = 0), and the
-    3-cycle moment sums over the same blocks of _three_cycle_blocks with the
-    same weights.  Raises UnresolvedExtractionError unless exactly one b is
-    left in every group, or when _MAX_RESAMPLES draws of the couplings leave
-    two groups' lines closer than 1e-3 max(1, n).
+    On the line (lambda, k, rho), sum T acts as c(rho) and sum B as c(rho)
+    - c(lambda) + k(theta - 1), so spectra.joint_spectrum(theta, n, "Q")
+    gives, as exact integers, the dimension of the joint eigenspace of
+    every pair (t, b): the multiplicity of each decoded pair times the
+    number of charges its block stands for.  The candidates sharing the
+    invariants (t, b) of partitions.line_invariants form one group, and
+    each group is solved by one rule: the b with 0 <= b <= btilde (the
+    cell-module bound) whose sum of b d_O d_Sn is the group's dimension.
+    joint_spectrum's lattice, commute and trace checks guard the decode.
+    Raises UnresolvedExtractionError when a decoded pair lies on no
+    candidate's line, when a group has no solution or more than one, or
+    when the multiplicities do not sum to theta^n.  seed is not read; it
+    stays for callers that pass one.
     """
     from . import spectra
     from .group_chars import dim_o
 
     spectra._check_cap(theta, n)
-    rng = np.random.default_rng(seed)
+    joint = spectra.joint_spectrum(theta, n, "Q")
     candidates = enumerate_lambda_rho(n, theta)
-    invariants = [line_invariants(p, theta) for p in candidates]
     weights = [dim_o(p.lam, theta) * dim_sn(p.rho) for p in candidates]
     btilde = [cell_branching(p.lam, p.rho) for p in candidates]
 
     groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, inv in enumerate(invariants):
-        groups.setdefault(inv, []).append(i)
-    group_keys = list(groups.keys())
-    c_rho, c_lam = (np.array(v, dtype=float) for v in zip(*group_keys))
+    for i, p in enumerate(candidates):
+        c_rho, c_lam = line_invariants(p, theta)
+        groups.setdefault((c_rho, c_rho - c_lam), []).append(i)
+    copies = np.array([len(q) for q in joint.charges])
+    dims: Counter = Counter()
+    for t, b, m in zip(joint.t.astype(np.int64).tolist(), joint.b.astype(np.int64).tolist(),
+                       (joint.mult * copies[joint.block]).tolist()):
+        if (t, b) not in groups:
+            raise UnresolvedExtractionError(
+                f"joint eigenvalue (sum T, sum B) = ({t}, {b}) lies on no predicted line")
+        dims[t, b] += m
 
-    # find parameters separating the distinct invariant groups
-    for attempt in range(_MAX_RESAMPLES):
-        l1 = float(rng.uniform(0.6, 2.0))
-        l2 = float(rng.uniform(0.25, 1.0)) * (1 if attempt % 2 == 0 else -1)
-        values = spectra.line_eigenvalue(c_rho, c_lam, l1, l2)
-        gaps = np.diff(np.sort(values))
-        if len(values) < 2 or np.min(gaps) > 1e-3 * max(1.0, n):
-            break
-    else:
-        raise UnresolvedExtractionError("could not separate invariant groups")
-
-    # H0 is block-diagonal by charge and commutes with the global flip; so
-    # does every place permutation.  A reduced block counts len(charges) times.
-    charges, blocks_t, blocks_b = spectra.sector_pair_ops(theta, n, "Q")
-    copies = [len(q) for q in charges]
-    solved = [np.linalg.eigh(-(l1 * t + l2 * b)) for t, b in zip(blocks_t, blocks_b)]
-    evals = np.concatenate([e for e, _ in solved])
-    offsets = np.cumsum([0] + [len(e) for e, _ in solved])
-
-    match_tol = 1e-7 * max(1.0, float(np.max(np.abs(evals))))
-    assign = np.argmin(np.abs(evals[:, None] - values[None, :]), axis=1)
-    if np.max(np.abs(evals - values[assign])) > match_tol:
-        raise UnresolvedExtractionError("dense eigenvalue outside every predicted line")
-    dims = np.bincount(assign, np.repeat(copies, np.diff(offsets)),
-                       minlength=len(group_keys)).astype(int)
-
-    c3 = None
     result: Dict[int, int] = {}
-    for gi, key in enumerate(group_keys):
-        members, dim = groups[key], int(dims[gi])
+    for key, members in groups.items():
         sols = [combo for combo in itertools.product(*(range(btilde[i] + 1) for i in members))
-                if sum(b * weights[i] for b, i in zip(combo, members)) == dim]
-        if len(sols) > 1:
-            if c3 is None:
-                c3 = _three_cycle_blocks(theta, n)
-            moment = 0.0
-            for k, (_, evecs) in enumerate(solved):
-                block = evecs[:, assign[offsets[k]:offsets[k + 1]] == gi]
-                moment += copies[k] * float(np.sum(block * (c3[k] @ block)))
-            omegas = [_omega3(candidates[i].rho) for i in members]
-            sols = [combo for combo in sols
-                    if abs(sum(b * weights[i] * om for b, i, om in zip(combo, members, omegas))
-                           - moment) < 1e-4 * max(1.0, abs(moment))]
+                if sum(b * weights[i] for b, i in zip(combo, members)) == dims[key]]
         if len(sols) != 1:
             raise UnresolvedExtractionError(
-                f"eigenspace of dimension {dim} on {[candidates[i] for i in members]}: "
+                f"eigenspace of dimension {dims[key]} on {[candidates[i] for i in members]}: "
                 f"{len(sols)} solutions within the cell bounds"
             )
         result.update(zip(members, sols[0]))

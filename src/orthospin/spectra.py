@@ -32,7 +32,7 @@ blocks come from index arithmetic on the base-theta digits of the basis
 states, and the same assembler gives the standard-basis operators (one
 sector) used by build_hamiltonian and the ground-state checks.  At odd
 theta both flavors' pair vectors are symmetric, so P shares Q's blocks and
-cache entries.
+cache entries; sum T, the same for both flavors, is assembled once per size.
 
 sum T and sum B commute, and their joint eigenvalues are integers: c(rho)
 and c(rho) - c(lambda) + k(theta - 1) on the line (lambda, k, rho).
@@ -45,6 +45,9 @@ t or b do not sum to the block's trace.  z_direct then needs no eigensolve:
 log Z is one log-sum over the distinct (t, b) of every block of
 log(multiplicity) + (L1 t + L2 b)/n plus the block's field weight, the log
 of the sum of exp(h sum_k y_k q_k) over the charges it stands for.
+branching.spectral_extract_branching reads the same decode: the integer
+multiplicities of the pairs (t, b), counted once per charge of their block,
+are the dimensions of the line eigenspaces.
 
 Character route
 ---------------
@@ -242,15 +245,20 @@ def sector_basis(theta: int, n: int, keyed: bool = True) -> SectorBasis:
     return SectorBasis(theta, n, digits, sector, local, sizes, charges)
 
 
-def _pair_sums(basis: SectorBasis, partner: np.ndarray,
-               signs: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Blocks of (sum T_{x,y}, sum B_{x,y}) over x < y, where B = |u><u| for
-    the pair vector u = sum_i signs[i] |i, partner[i]>."""
-    theta, n, d = basis.theta, basis.n, basis.digits
-    x, y = np.triu_indices(n, 1)
-    swaps = np.tile(np.arange(n), (len(x), 1))
+def _transposition_sum(basis: SectorBasis) -> List[np.ndarray]:
+    """Blocks of sum T_{x,y} over x < y; the same for both flavors."""
+    x, y = np.triu_indices(basis.n, 1)
+    swaps = np.tile(np.arange(basis.n), (len(x), 1))
     swaps[np.arange(len(x)), x] = y
     swaps[np.arange(len(x)), y] = x
+    return basis.permutation_sum(swaps)
+
+
+def _bar_sum(basis: SectorBasis, partner: np.ndarray, signs: np.ndarray) -> List[np.ndarray]:
+    """Blocks of sum B_{x,y} over x < y, where B = |u><u| for the pair
+    vector u = sum_i signs[i] |i, partner[i]>."""
+    theta, n, d = basis.theta, basis.n, basis.digits
+    x, y = np.triu_indices(n, 1)
     # B_{x,y} maps a state whose digits (a, partner[a]) at (x, y) hold a term
     # of u to sum_b signs[a] signs[b] |..., b, partner[b], ...>
     state, k = np.nonzero(d[:, y] == partner[d[:, x]])
@@ -260,7 +268,7 @@ def _pair_sums(basis: SectorBasis, partner: np.ndarray,
     rows = state[:, None] + (b - a[:, None]) * px + (partner[b] - partner[a, None]) * py
     cols = np.broadcast_to(state[:, None], rows.shape)
     vals = signs[a, None] * signs[b]
-    return basis.permutation_sum(swaps), basis.blocks(rows, cols, vals)
+    return basis.blocks(rows, cols, vals)
 
 
 @lru_cache(maxsize=32)
@@ -269,9 +277,9 @@ def sum_pair_ops(theta: int, n: int, flavor: str) -> Tuple[np.ndarray, np.ndarra
     standard basis (one sector)."""
     form = pair_form(theta, flavor)
     partner = np.argmax(np.abs(form), axis=1)
-    (sum_t,), (sum_b,) = _pair_sums(
-        sector_basis(theta, n, keyed=False), partner, form[np.arange(theta), partner]
-    )
+    basis = sector_basis(theta, n, keyed=False)
+    (sum_t,) = _transposition_sum(basis)
+    (sum_b,) = _bar_sum(basis, partner, form[np.arange(theta), partner])
     return sum_t, sum_b
 
 
@@ -323,6 +331,14 @@ def _cached_per_model(fn):
     return lookup
 
 
+@lru_cache(maxsize=32)
+def _reduced_transposition_sum(theta: int, n: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """(charges, blocks of sum T) in the torus basis, reduced by the global
+    flip: one assembly per size, shared by both flavors."""
+    basis = sector_basis(theta, n)
+    return flip_reduce(basis, _transposition_sum(basis))
+
+
 @_cached_per_model
 def sector_pair_ops(theta: int, n: int,
                     flavor: str) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
@@ -334,31 +350,34 @@ def sector_pair_ops(theta: int, n: int,
     (both forms are symmetric) and s_i = (-1)^i for P at even theta (a
     symplectic form); the spectrum of every block is basis independent.  F
     commutes with place permutations and fixes u, or sends it to -u in the
-    symplectic case, so it commutes with both sums.
+    symplectic case, so it commutes with both sums.  Sum T does not depend
+    on the flavor: both flavors take the same charges and sum T blocks, and
+    each assembles only its sum B.
     """
     basis = sector_basis(theta, n)
     symplectic = flavor == "P" and theta % 2 == 0
     signs = (-1.0) ** np.arange(theta) if symplectic else np.ones(theta)
-    sum_t, sum_b = _pair_sums(basis, np.arange(theta)[::-1], signs)
-    charges, sum_t = flip_reduce(basis, sum_t)
-    return charges, sum_t, flip_reduce(basis, sum_b)[1]
+    charges, sum_t = _reduced_transposition_sum(theta, n)
+    return charges, sum_t, flip_reduce(basis, _bar_sum(basis, np.arange(theta)[::-1], signs))[1]
 
 
 @dataclass(frozen=True)
 class JointSpectrum:
     """The joint eigenvalues (t, b) of sum T and sum B on the reduced blocks
     of sector_pair_ops: each distinct pair of a block once, with block[i]
-    the block of pair i and log_mult[i] the log of its multiplicity there;
-    charges[k] are the charges block k stands for."""
+    the block of pair i, mult[i] its integer multiplicity there and
+    log_mult[i] the log of that, formed once; charges[k] are the charges
+    block k stands for."""
 
     charges: List[np.ndarray]
     block: np.ndarray
     t: np.ndarray
     b: np.ndarray
+    mult: np.ndarray
     log_mult: np.ndarray
 
     def __post_init__(self):
-        for a in (self.block, self.t, self.b, self.log_mult):
+        for a in (self.block, self.t, self.b, self.mult, self.log_mult):
             a.setflags(write=False)  # the spectrum is cached and shared
 
 
@@ -401,8 +420,8 @@ def joint_spectrum(theta: int, n: int, flavor: str) -> JointSpectrum:
         pairs.append(distinct)
         counts.append(count)
     t_all, b_all = np.concatenate(pairs).T.astype(float)
-    return JointSpectrum(charges, np.concatenate(block), t_all, b_all,
-                         np.log(np.concatenate(counts)))
+    mult = np.concatenate(counts)
+    return JointSpectrum(charges, np.concatenate(block), t_all, b_all, mult, np.log(mult))
 
 
 def field_weights(spec: HamiltonianSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -281,14 +282,50 @@ def test_spectral_extraction_given_parameters():
                    ((1, 1), (2,)): 0, ((2,), (1, 1)): 0, ((), (1, 1)): 0}
 
 
-@pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5), (4, 7)])
+@pytest.mark.parametrize("theta,nmax", [(4, 6), (5, 5), (4, 7), (2, 12), (3, 7), (6, 5)])
 def test_b_matches_extraction_beyond_theta3(theta, nmax, monkeypatch):
     # the restriction agrees with the dense oracle on every pair
-    if nmax == 7:
+    if theta**nmax > 4096:
         monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "20000")
     for n in range(1, nmax + 1):
         for pair, b in spectral_extract_branching(n, theta):
             assert b_coefficient(pair, theta) == b, (theta, n, pair, b)
+
+
+@pytest.mark.parametrize("t, b, mult, reason", [
+    (99, 0, 1, "lies on no predicted line"),
+    (0, 5, 144, "2 solutions within the cell bounds"),
+    (0, 5, 1, "0 solutions within the cell bounds"),
+], ids=["off-every-line", "ambiguous", "unsolvable"])
+def test_extraction_refuses_an_undetermined_spectrum(monkeypatch, t, b, mult, reason):
+    # at theta=4, n=6 the lines ((2,1,1), 1, (3,2,1)) and ((2), 2, (3,2,1))
+    # share (sum T, sum B) = (0, 5) and d_O d_Sn = 144 with cell bound 1:
+    # an eigenspace of dimension 144 fits either line, and one of dimension
+    # 1 fits neither
+    from orthospin import spectra
+
+    def joint(theta, n, flavor):
+        mult_ = np.array([mult])
+        return spectra.JointSpectrum([np.zeros((1, 2), dtype=np.int64)], np.array([0]),
+                                     np.array([float(t)]), np.array([float(b)]), mult_,
+                                     np.log(mult_))
+
+    monkeypatch.setattr(spectra, "joint_spectrum", joint)
+    with pytest.raises(branching.UnresolvedExtractionError, match=reason):
+        spectral_extract_branching(6, 4)
+
+
+def test_extraction_at_a_cached_size_solves_nothing(monkeypatch):
+    # the extraction reads the cached joint spectrum: no eigensolve of its own
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve in an extraction at a cached size")
+
+    for theta, n in ((2, 6), (3, 4), (4, 4)):
+        first = spectral_extract_branching(n, theta)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", no_eigensolve)
+            m.setattr(np.linalg, "eigvalsh", no_eigensolve)
+            assert spectral_extract_branching(n, theta) == first
 
 
 @settings(max_examples=30, deadline=None)
@@ -340,32 +377,6 @@ def test_okada_rule_theta4():
             if all(p == 1 for p in pair.lam.parts):
                 odd = sum(1 for p in pair.rho.parts if p % 2 == 1)
                 assert b == (1 if odd == len(pair.lam) else 0), pair
-
-
-def test_three_cycle_class_scalar():
-    # the 3-cycle class sum acts on each line's eigenspace as the scalar
-    # sum of squared contents minus C(n,2)
-    import numpy as np
-
-    from orthospin.branching import _omega3, _three_cycle_blocks
-    from orthospin.spectra import spectral_lines, sum_pair_ops
-
-    theta, n = 2, 4
-    L1, L2 = 1.3, 0.6
-    sum_t, sum_b = sum_pair_ops(theta, n, "Q")
-    evals, evecs = np.linalg.eigh(-(L1 * sum_t + L2 * sum_b))
-    (c3,) = _three_cycle_blocks(theta, n, keyed=False)
-    for line in spectral_lines(n, theta, L1, L2):
-        sel = np.abs(evals - line.eigenvalue) < 1e-8
-        if int(np.sum(sel)) != line.multiplicity:
-            continue  # degenerate cluster
-        block = evecs[:, sel]
-        omega = _omega3(line.rho)
-        assert np.max(np.abs(c3 @ block - omega * block)) < 1e-8
-    # the scalar itself against hand-computed small cases
-    assert _omega3(Partition([3])) == 2.0
-    assert _omega3(Partition([2, 1])) == -1.0
-    assert _omega3(Partition([1, 1, 1])) == 2.0
 
 
 def test_exact_beyond_dense_caps():

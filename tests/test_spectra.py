@@ -17,7 +17,6 @@ from orthospin.brauer import (
     pair_q_matrix,
     pair_t_matrix,
     perfect_matchings,
-    perm_matrix,
 )
 from orthospin.group_chars import char_o_field, dim_o
 from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariants
@@ -162,9 +161,7 @@ def test_flavor_spectra_differ_for_even_theta():
 
 
 def test_digit_assembly_matches_embedding_loops():
-    # the index-arithmetic assembler against per-pair / per-permutation loops
-    from orthospin.branching import _three_cycle_blocks
-
+    # the index-arithmetic assembler against per-pair embedding loops
     for theta, n in ((2, 5), (3, 4), (4, 3), (5, 3)):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for flavor, b2 in (("Q", pair_q_matrix(theta)), ("P", pair_p_matrix(theta))):
@@ -172,13 +169,6 @@ def test_digit_assembly_matches_embedding_loops():
             t2 = pair_t_matrix(theta)
             assert np.array_equal(sum_t, sum(embed_pair(t2, theta, n, x, y) for x, y in pairs))
             assert np.array_equal(sum_b, sum(embed_pair(b2, theta, n, x, y) for x, y in pairs))
-        c3 = 0
-        for x, y, z in itertools.combinations(range(1, n + 1), 3):
-            for cyc in ((y, z, x), (z, x, y)):
-                sigma = list(range(1, n + 1))
-                sigma[x - 1], sigma[y - 1], sigma[z - 1] = cyc
-                c3 = c3 + perm_matrix(sigma, theta, n)
-        assert np.array_equal(_three_cycle_blocks(theta, n, keyed=False)[0], c3)
 
 
 def test_central_elements_on_eigenspaces():
@@ -299,11 +289,13 @@ def test_total_spin_limits():
 
 
 def test_dense_cap_enforced(monkeypatch):
-    z_direct(HamiltonianSpec(2, 4, 1.0, 1.0))  # the cap binds on a cached size too
-    monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "8")
-    with pytest.raises(ValueError, match="exceeds cap 8"):
-        z_direct(HamiltonianSpec(2, 4, 1.0, 1.0))
-    monkeypatch.delenv("ORTHO_SPIN_DENSE_CAP")
+    for dense in (lambda: z_direct(HamiltonianSpec(2, 4, 1.0, 1.0)),
+                  lambda: branching.spectral_extract_branching(4, 2)):
+        dense()  # the cap binds on a cached size too
+        monkeypatch.setenv("ORTHO_SPIN_DENSE_CAP", "8")
+        with pytest.raises(ValueError, match="exceeds cap 8"):
+            dense()
+        monkeypatch.delenv("ORTHO_SPIN_DENSE_CAP")
     sum_pair_ops.cache_clear()
 
 
@@ -424,9 +416,7 @@ flip_sizes_st = st.one_of(
 def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
     # each reduced block stands for its charges: [q, -q] for a pair, [0] for
     # a half of the neutral sector; counted so, the blocks' eigenvalues are
-    # the spectrum of H0, and those of the reduced 3-cycle sum its spectrum
-    from orthospin.branching import _three_cycle_blocks
-
+    # the spectrum of H0
     theta, n = size
     charges, blocks_t, blocks_b = sector_pair_ops(theta, n, flavor)
     for q in charges:
@@ -436,11 +426,6 @@ def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
                           for c, t, b in zip(copies, blocks_t, blocks_b)])
     want = np.linalg.eigvalsh(build_hamiltonian(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
     assert np.allclose(np.sort(got), want, rtol=0.0, atol=1e-10)
-    c3 = _three_cycle_blocks(theta, n)
-    assert [len(b) for b in c3] == [len(b) for b in blocks_t]
-    got = np.concatenate([np.repeat(np.linalg.eigvalsh(b), c) for c, b in zip(copies, c3)])
-    (full,) = _three_cycle_blocks(theta, n, keyed=False)
-    assert np.allclose(np.sort(got), np.linalg.eigvalsh(full), rtol=0.0, atol=1e-10)
 
 
 def test_z_direct_solves_each_charge_pair_once(monkeypatch):
@@ -471,6 +456,27 @@ def test_z_direct_solves_each_charge_pair_once(monkeypatch):
         calls.clear()
         z_direct(HamiltonianSpec(theta, n, 0.2, 0.6, flavor=flavor))
         assert calls == [], (theta, n, flavor)
+
+
+def test_even_theta_p_shares_the_q_transposition_sum(monkeypatch):
+    # sum T does not depend on the flavor: one place-permutation sum per
+    # size across Q and P, whichever flavor comes first
+    calls = []
+    permutation_sum = spectra.SectorBasis.permutation_sum
+
+    def counting(basis, sigmas):
+        calls.append((basis.theta, basis.n))
+        return permutation_sum(basis, sigmas)
+
+    monkeypatch.setattr(spectra.SectorBasis, "permutation_sum", counting)
+    for theta, n, flavors in ((2, 5, "QP"), (2, 6, "PQ"), (4, 3, "QP"), (4, 4, "PQ")):
+        sector_pair_ops.cache_clear()
+        spectra._reduced_transposition_sum.cache_clear()
+        for flavor in flavors:
+            sector_pair_ops(theta, n, flavor)
+        p, q = sector_pair_ops(theta, n, "P"), sector_pair_ops(theta, n, "Q")
+        assert p[1] is q[1] and p[2] is not q[2]
+    assert calls == [(2, 5), (2, 6), (4, 3), (4, 4)]
 
 
 def test_odd_theta_p_shares_the_q_cache_entries():
