@@ -2,11 +2,11 @@
 
 By Brauer-Schur-Weyl duality b(lambda, k, rho) is the multiplicity of the
 O(theta) irreducible lambda in the GL(theta) irreducible rho.  One exact
-route gives it at every theta: the restriction of rho, once per partition,
-on rho less its theta-th row (a column_flip of the labels when that row is
-odd).  positive_lines reads it per rho into index arrays (a LineIndex,
-which enumerate_Pn lists as pairs), b_coefficient per pair.  The
-restriction takes one of three rules:
+route gives it at every theta: the restriction of rho on rho less its
+theta-th row (a column_flip of the labels when that row is odd).
+positive_lines reads it into index arrays (a LineIndex, which enumerate_Pn
+lists as pairs), b_coefficient per pair through the Counter of
+_restriction.  The restriction takes one of three rules:
 
 * theta = 3: Elliott's SU(3) > SO(3) rule (J. P. Elliott, Proc. R. Soc. A
   245 (1958) 128) on the row differences of rho, with the spin L of SO(3)
@@ -16,6 +16,10 @@ restriction takes one of three rules:
 * otherwise Littlewood's sum with King's modification rule (R. C. King,
   J. Phys. A 8 (1975) 429; K. Koike and I. Terada, J. Algebra 107 (1987)
   466).
+
+The first two take integer arrays of row differences, so positive_lines
+calls each once for all the rho of a size and finds the labels by
+arithmetic; at theta >= 4 it restricts one rho at a time.
 
 The dense spectral extraction is a check; it reads the eigenspace of each
 line off the joint integer spectrum of sum T and sum B
@@ -159,29 +163,44 @@ def _one_row(m: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _spin_label(spin: int, twisted: bool) -> Partition:
-    """The O(3) label of SO(3) spin L: (L), or its column_flip when twisted."""
-    return column_flip(_one_row(spin), 3) if twisted else _one_row(spin)
+def _one_row_label(m: int, twisted: bool, theta: int) -> Partition:
+    """The O(theta) label (m), or its column_flip when twisted."""
+    return column_flip(_one_row(m), theta) if twisted else _one_row(m)
 
 
-def _elliott(rho: Partition) -> Counter:
-    """GL(3) -> O(3) by Elliott's rule.  With (l, m) the row differences of
-    rho, B = max(l, m) and s = min(l, m), each K = s, s - 2, ... >= 0 gives
-    the SO(3) spins L = K, ..., K + B when K > 0 and L = B, B - 2, ... >= 0
-    when K = 0.  The multiplicity of L counts the K of the parity of s in
-    [max(1, L - B), min(s, L)], plus one for K = 0.  -I in O(3) acts on rho
-    as (-1)^|rho| and on (L) as (-1)^L, so the label is (L) or, for the
-    other parity, its column_flip (the det twist)."""
-    l, m = rho[0] - rho[1], rho[1] - rho[2]
-    big, s, size = max(l, m), min(l, m), rho.size
-    out: Counter = Counter()
-    for spin in range(big + s + 1):
-        lo, hi = max(1, spin - big), min(s, spin)
-        mult = max(0, (hi - s) // 2 - (lo - 1 - s) // 2)
-        mult += s % 2 == 0 and spin <= big and (big - spin) % 2 == 0
-        if mult:
-            out[_spin_label(spin, (spin - size) % 2 == 1)] = mult
-    return out
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of counts[i] entries per i: owner i at positions
+    0, ..., counts[i] - 1."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _harmonic(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GL(theta) -> O(theta) on the one-row rho = (a[i]), at every theta:
+    the harmonic [m] once for m = a, a - 2, ... >= 0.  (owner, m, mult)
+    per [m], with owner the i of its rho."""
+    owner, pos = _ragged(a // 2 + 1)
+    return owner, a[owner] % 2 + 2 * pos, np.ones(len(owner), dtype=np.int64)
+
+
+def _elliott(l: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GL(3) -> SO(3) by Elliott's rule on the row differences (l[i], m[i])
+    of each rho.  With B = max(l, m) and s = min(l, m), each K = s, s - 2,
+    ... >= 0 gives the SO(3) spins L = K, ..., K + B when K > 0 and L = B,
+    B - 2, ... >= 0 when K = 0.  The multiplicity of L counts the K of the
+    parity of s in [max(1, L - B), min(s, L)], plus one for K = 0.
+    (owner, spin, mult) per spin of positive multiplicity, with owner the i
+    of its rho.  -I in O(3) acts on rho as (-1)^|rho| and on (L) as
+    (-1)^L, so the O(3) label is (L) or, for the other parity, its
+    column_flip (the det twist)."""
+    big, s = np.maximum(l, m), np.minimum(l, m)
+    owner, spin = _ragged(big + s + 1)
+    big, s = big[owner], s[owner]
+    lo, hi = np.maximum(1, spin - big), np.minimum(s, spin)
+    mult = np.maximum(0, (hi - s) // 2 - (lo - 1 - s) // 2)
+    mult += (s % 2 == 0) & (spin <= big) & ((big - spin) % 2 == 0)
+    keep = mult > 0
+    return owner[keep], spin[keep], mult[keep]
 
 
 @lru_cache(maxsize=None)
@@ -190,9 +209,12 @@ def _restriction(rho: Partition, theta: int) -> Counter:
     Elliott's rule at theta = 3, the harmonic sum of a one-row rho, and
     _littlewood_king otherwise (see the module docstring)."""
     if theta == 3:
-        return _elliott(rho)
+        _, spins, mults = _elliott(np.array([rho[0] - rho[1]]), np.array([rho[1] - rho[2]]))
+        return Counter({_one_row_label(spin, (spin - rho.size) % 2 == 1, 3): mult
+                        for spin, mult in zip(spins.tolist(), mults.tolist())})
     if len(rho) == 1:
-        return Counter({_one_row(m): 1 for m in range(rho[0] % 2, rho[0] + 1, 2)})
+        _, ms, _ = _harmonic(np.array([rho[0]]))
+        return Counter({_one_row(m): 1 for m in ms.tolist()})
     return _littlewood_king(rho, theta)
 
 
@@ -254,15 +276,45 @@ def _index_lines(n: int, rhos: Sequence[Partition], labels: Sequence[Partition],
                      lam_index[perm], np.asarray(b, dtype=np.int64)[perm])
 
 
+def _closed_form_lines(n: int, theta: int, rhos: Sequence[Partition]
+                       ) -> Tuple[np.ndarray, List[Partition], np.ndarray, np.ndarray]:
+    """(rho_index, labels, lam_index, b) of the positive lines at theta = 2, 3
+    from one rule call over all rho.  Stripping the theta-th row keeps the
+    row differences the rules read, so only its parity is left to apply:
+    * theta = 3: Elliott's twist on the stripped rho, of size n - 3 rho_3,
+      and the flip-back for odd rho_3 combine to (-1)^(L - n), so
+      spin L is the label (L) when L = n (mod 2) and its column_flip
+      otherwise;
+    * theta = 2: the harmonic [m] of the stripped (rho_1 - rho_2) is the
+      label (m) for m >= 1, which column_flip fixes, and at m = 0 the label
+      () or, for odd rho_2, its flip (1, 1).
+    A label's id is the rank of its key 2 m + twisted."""
+    rows = np.array([rho.parts + (0,) * (theta - len(rho)) for rho in rhos], dtype=np.int64)
+    if theta == 3:
+        owner, m, b = _elliott(rows[:, 0] - rows[:, 1], rows[:, 1] - rows[:, 2])
+        twisted = (m - n) % 2 == 1
+    else:
+        owner, m, b = _harmonic(rows[:, 0] - rows[:, 1])
+        twisted = (m == 0) & (rows[owner, 1] % 2 == 1)
+    keys, lam_index = np.unique(2 * m + twisted, return_inverse=True)
+    labels = [_one_row_label(key // 2, key % 2 == 1, theta) for key in keys.tolist()]
+    return owner, labels, lam_index, b
+
+
 @lru_cache(maxsize=None)
 def positive_lines(n: int, theta: int) -> LineIndex:
-    """The lines with positive branching coefficient, one restriction per
-    rho, read on the stripped rho and flipped back when rho_theta is odd.
-    A label gets its id once per flip parity, keyed by its parts, so no
-    pair is built per line and no line's Partition is hashed to index it."""
+    """The lines with positive branching coefficient.  At theta = 2, 3 one
+    vectorised rule call covers every rho (_closed_form_lines); at theta >=
+    4 one restriction per rho, read on the stripped rho and flipped back
+    when rho_theta is odd.  A label gets its id once per flip parity, keyed
+    by its parts, so no pair is built per line and no line's Partition is
+    hashed to index it."""
     if n < 1 or theta < 2:
         raise ValueError("need n >= 1 and theta >= 2")
     rhos = enumerate_partitions(n, theta)
+    if theta <= 3:
+        rho_index, labels, lam_index, b = _closed_form_lines(n, theta, rhos)
+        return _index_lines(n, rhos, labels, rho_index, lam_index, b)
     labels: List[Partition] = []
     label_id: Dict[Tuple[int, ...], int] = {}
     ids: Tuple[Dict[Tuple[int, ...], int], ...] = ({}, {})  # by the parity of rho_theta

@@ -16,7 +16,9 @@ zeros, by one rule at every theta:
   first (chi_{lam*} = det(g) chi_lam, and det exp(hW) = 1); each label takes
   the form whose Laplace expansion is cheaper (m 2^(m-1) products at size
   m, of entries with 2 (lam_1 + l(lam)) - 1 coefficients in the h-form and 3
-  in the e-form), and its weights must sum to the Weyl dimension;
+  in the e-form), and its weights must sum to the Weyl dimension.  A batch
+  of labels of one form and size is expanded in int64 when a bound on every
+  product and sum of the expansion fits, in Python ints otherwise;
 * chi_lam(exp(hW)) = sum_m c_m e^{mh} is evaluated as
       log chi = M |h| + log sum_j c_{M-j} e^{-j |h|},
   a sum of positive terms that neither cancels nor overflows.
@@ -144,6 +146,26 @@ def _det(mat: np.ndarray) -> np.ndarray:
     return minors[tuple(range(m))]
 
 
+def _machine(table: np.ndarray) -> np.ndarray:
+    """A table of Python ints as int64 when the sum or difference of any two
+    entries fits, else unchanged."""
+    return table.astype(np.int64) if np.abs(table).max() < 2**61 else table
+
+
+def _exact_dtype(mat: np.ndarray) -> np.ndarray:
+    """mat (L, m, m, w), int64 or Python ints, as int64 when no coefficient of
+    any product or partial sum that _det forms on it, nor the sum of a
+    determinant's coefficients, can pass 2^62; as Python ints otherwise.
+    The sums of |coefficients| multiply under products and add under sums,
+    so the rows' sums (at least 1) multiply to a bound on all of them."""
+    if mat.dtype == object:
+        return mat
+    rows = np.abs(mat).sum(axis=(2, 3), dtype=float)
+    if np.all(np.prod(np.maximum(rows, 1.0), axis=1) < 2.0**61):  # slack for rounding
+        return mat
+    return mat.astype(object)
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """The weight multiplicities of W on a list of O(theta) labels.
@@ -152,23 +174,29 @@ class WeightTable:
     the highest weight M of each label; the nonzero multiplicities are
     stacked: entry i gives label row[i] the weight top[row[i]] - depth[i]
     with multiplicity mult[i] (integers, held as floats for the
-    evaluation).
+    evaluation).  depth[i] is stored as depths[depth_index[i]], with depths
+    the distinct depths, so that e^{-j|h|} is taken once per depth.
     """
 
     dims: Tuple[int, ...]
     log_dims: np.ndarray
     top: np.ndarray
     row: np.ndarray
-    depth: np.ndarray
+    depths: np.ndarray
+    depth_index: np.ndarray
     mult: np.ndarray
 
     def __post_init__(self):
-        for a in (self.log_dims, self.top, self.row, self.depth, self.mult):
+        for a in (self.log_dims, self.top, self.row, self.depths, self.depth_index, self.mult):
             a.setflags(write=False)  # tables are cached and shared
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self.depths[self.depth_index]
 
     def scaled_chars(self, h: float) -> np.ndarray:
         """chi_lam(exp(hW)) e^{-M|h|} = sum_j c_{M-j} e^{-j|h|} per label."""
-        terms = self.mult * np.exp(-abs(h) * self.depth)
+        terms = self.mult * np.exp(-abs(h) * self.depths)[self.depth_index]
         return np.bincount(self.row, terms, minlength=len(self.top))
 
     def log_chars(self, h: float) -> np.ndarray:
@@ -182,8 +210,9 @@ class WeightTable:
 def weight_table(lams: Sequence[Partition], theta: int) -> WeightTable:
     """The weight multiplicities of W on the O(theta) labels lams: the
     coefficients in q of the orthogonal Jacobi-Trudi determinant (module
-    docstring), exact in Python ints.  Labels are batched by form and size,
-    the empty label as (0).  ValueError for a label that is not an O(theta)
+    docstring), exact: in int64 for a batch whose bound fits (_exact_dtype),
+    in Python ints otherwise.  Labels are batched by form and size, the
+    empty label as (0).  ValueError for a label that is not an O(theta)
     label, ArithmeticError when a label's weights do not sum to its dimension.
     """
     dims = tuple(dim_o(lam, theta) for lam in lams)
@@ -197,23 +226,23 @@ def weight_table(lams: Sequence[Partition], theta: int) -> WeightTable:
         groups.setdefault((dual, len(parts[-1])), []).append(i)
     kmax = max(p[0] + len(p) - 1 for p in parts)  # the largest index of an h_k or e_k
     pad = kmax + 2 * max(len(p) for p in parts) + 1  # both tables read 0 below index 0
-    h_coeffs = np.concatenate([np.zeros(pad, dtype=object), _parity_sums(theta, kmax)])
+    h_coeffs = _machine(np.concatenate([np.zeros(pad, dtype=object), _parity_sums(theta, kmax)]))
     # e_a(q, 1/q, 1^(theta-2)) = C(a) + C(a-2) + (q + 1/q) C(a-1), C(i) = C(theta-2, i)
     c = np.zeros(pad + kmax + 3, dtype=object)
     c[pad + 2:] = [math.comb(theta - 2, i) for i in range(kmax + 1)]
-    e_coeffs = np.stack([c[1:-1], c[2:] + c[:-2], c[1:-1]], axis=1)
+    e_coeffs = _machine(np.stack([c[1:-1], c[2:] + c[:-2], c[1:-1]], axis=1))
     top, row, depth, mult = np.zeros(len(lams)), [], [], []
     for (dual, size), batch in groups.items():
         batch = np.array(batch)
         cols = np.arange(size)
         start = (pad + np.array([parts[i] for i in batch]) - cols)[:, :, None]
         if dual:
-            poly = _det(e_coeffs[start + cols] + e_coeffs[start - cols]) // 2
+            poly = _det(_exact_dtype(e_coeffs[start + cols] + e_coeffs[start - cols])) // 2
         else:
             k = max(parts[i][0] for i in batch) + size - 1  # the widest label of the batch
             offsets = np.abs(np.arange(-k, k + 1))
-            poly = _det(h_coeffs[(start + cols)[..., None] - offsets]
-                        - h_coeffs[(start - cols - 2)[..., None] - offsets])
+            poly = _det(_exact_dtype(h_coeffs[(start + cols)[..., None] - offsets]
+                                     - h_coeffs[(start - cols - 2)[..., None] - offsets]))
         for i, total in zip(batch.tolist(), poly.sum(axis=1).tolist()):
             if total != dims[i]:
                 raise ArithmeticError(f"weights of {lams[i]!r} sum to {total}, not {dims[i]}")
@@ -223,10 +252,12 @@ def weight_table(lams: Sequence[Partition], theta: int) -> WeightTable:
         row.append(batch[at])
         depth.append(col - lead[at])
         mult.append(poly[at, col])
+    depths, depth_index = np.unique(np.concatenate(depth), return_inverse=True)
     return WeightTable(
         dims, np.log(np.array(dims, dtype=float)), top,
         row=np.concatenate(row),
-        depth=np.concatenate(depth).astype(float),
+        depths=depths.astype(float),
+        depth_index=depth_index,
         mult=np.concatenate(mult).astype(float),
     )
 

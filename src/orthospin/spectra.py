@@ -272,15 +272,22 @@ def _bar_sum(basis: SectorBasis, partner: np.ndarray, signs: np.ndarray) -> List
 
 
 @lru_cache(maxsize=32)
+def _plain_transposition_sum(theta: int, n: int) -> np.ndarray:
+    """sum T in the standard basis: one assembly per size, shared by both
+    flavors."""
+    (sum_t,) = _transposition_sum(sector_basis(theta, n, keyed=False))
+    return sum_t
+
+
+@lru_cache(maxsize=32)
 def sum_pair_ops(theta: int, n: int, flavor: str) -> Tuple[np.ndarray, np.ndarray]:
     """(sum of T_{x,y}, sum of B_{x,y}) over unordered pairs x < y, in the
     standard basis (one sector)."""
     form = pair_form(theta, flavor)
     partner = np.argmax(np.abs(form), axis=1)
     basis = sector_basis(theta, n, keyed=False)
-    (sum_t,) = _transposition_sum(basis)
     (sum_b,) = _bar_sum(basis, partner, form[np.arange(theta), partner])
-    return sum_t, sum_b
+    return _plain_transposition_sum(theta, n), sum_b
 
 
 def flip_reduce(basis: SectorBasis,

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,6 +94,31 @@ def test_enumerate_Pn_theta3_needs_no_lr_tableaux(monkeypatch):
     assert calls["cell_branching"] > 0 and calls["partitions_inside"] > 0
 
 
+def test_closed_form_lines_read_no_restriction(monkeypatch):
+    # at theta = 2, 3 one vectorised rule call covers every rho: no
+    # per-rho restriction runs
+    def unreachable(*args):
+        raise AssertionError(f"per-rho restriction reached with {args!r}")
+
+    monkeypatch.setattr(branching, "_restriction", unreachable)
+    for theta, n in ((2, 1), (2, 2), (2, 41), (3, 1), (3, 3), (3, 28)):
+        assert len(branching.positive_lines.__wrapped__(n, theta).b) > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 150))
+def test_closed_form_lines_match_b_coefficient(theta, n):
+    # every line's b is the per-pair coefficient, and per rho the lines
+    # hold the GL(theta) dimension
+    lines = branching.positive_lines(n, theta)
+    d_o = [dim_o(lam, theta) for lam in lines.lams]
+    totals = [0] * len(lines.rhos)
+    for (pair, b), r, l in zip(lines.pairs(), lines.rho_index.tolist(), lines.lam_index.tolist()):
+        assert b == b_coefficient(pair, theta), pair
+        totals[r] += b * d_o[l]
+    assert totals == [dim_gl(rho, theta) for rho in lines.rhos]
+
+
 # sha256 of repr(enumerate_Pn(n, theta)) as Littlewood's sum with King's
 # rule gives it at every theta, theta = 3 included
 _ENUMERATION_SHA256 = {
@@ -113,15 +139,24 @@ def test_enumerate_Pn_pinned(theta, n):
     assert digest == _ENUMERATION_SHA256[theta, n]
 
 
+def _elliott_per_rho(rhos):
+    # one call of Elliott's rule on the row differences of every rho, read
+    # back per rho with the det twist (-1)^(L - |rho|)
+    owner, spins, mults = branching._elliott(np.array([rho[0] - rho[1] for rho in rhos]),
+                                             np.array([rho[1] - rho[2] for rho in rhos]))
+    out = [Counter() for _ in rhos]
+    for i, spin, mult in zip(owner.tolist(), spins.tolist(), mults.tolist()):
+        out[i][branching._one_row_label(spin, (spin - rhos[i].size) % 2 == 1, 3)] = mult
+    return out
+
+
 def test_elliott_matches_littlewood_king():
     # every stripped rho (at most two rows) up to 44 boxes; the Littlewood
     # sum may carry zero multiplicities, which unary + drops
-    count = 0
-    for size in range(45):
-        for rho in enumerate_partitions(size, 2):
-            assert branching._elliott(rho) == +branching._littlewood_king(rho, 3), rho
-            count += 1
-    assert count == 529
+    rhos = [rho for size in range(45) for rho in enumerate_partitions(size, 2)]
+    for rho, restriction in zip(rhos, _elliott_per_rho(rhos)):
+        assert restriction == +branching._littlewood_king(rho, 3), rho
+    assert len(rhos) == 529
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,7 +164,7 @@ def test_elliott_matches_littlewood_king():
 def test_elliott_dimensions(second, size):
     # sum over lambda of b d_O(lambda) is the GL(3) dimension of rho
     rho = Partition([size - min(second, size // 2), min(second, size // 2)])
-    total = sum(b * dim_o(lam, 3) for lam, b in branching._elliott(rho).items())
+    total = sum(b * dim_o(lam, 3) for lam, b in _elliott_per_rho([rho])[0].items())
     assert total == dim_gl(rho, 3), rho
 
 

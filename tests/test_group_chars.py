@@ -168,9 +168,61 @@ def test_weight_tables_at_large_theta(theta):
     _check_weights(_labels(theta, 10), theta)
 
 
-def test_weight_tables_past_int64():
+def _det_dtypes(monkeypatch):
+    # the dtypes of the matrices weight_table expands, as a set filled in
+    # by later calls
+    from orthospin import group_chars
+
+    dtypes = set()
+    det = group_chars._det
+
+    def spying(mat):
+        dtypes.add(mat.dtype)
+        return det(mat)
+
+    monkeypatch.setattr(group_chars, "_det", spying)
+    return dtypes
+
+
+def test_weight_tables_past_int64(monkeypatch):
     # products of the entries pass 2^63 here; Python ints keep them exact
+    dtypes = _det_dtypes(monkeypatch)
     _check_weights([Partition([60, 60, 60]), Partition([3, 1]), EMPTY], 6)
+    assert np.dtype(object) in dtypes
+
+
+@pytest.mark.parametrize("theta,n", [(2, 400), (3, 120)])
+def test_line_table_weights_in_int64(theta, n, monkeypatch):
+    # (m) at theta = 2 has the weights +-m, spin L at theta = 3 the weights
+    # -L..L, each once; every determinant of these tables runs in int64
+    from orthospin import branching
+
+    dtypes = _det_dtypes(monkeypatch)
+    labels = branching.positive_lines(n, theta).lams
+    table = weight_table(labels, theta)
+    assert dtypes == {np.dtype(np.int64)}
+    for i, lam in enumerate(labels):
+        if theta == 2:
+            spin = lam[0] if lam.parts != (1, 1) else 0
+            want = sorted({spin, -spin})
+        else:
+            spin = (column_flip(lam, 3) if len(lam) > 1 else lam).size
+            want = list(range(-spin, spin + 1))
+        at = table.row == i
+        assert sorted(table.top[i] - table.depth[at]) == want, lam
+        assert np.all(table.mult[at] == 1), lam
+
+
+@pytest.mark.parametrize("theta,n", [(2, 160), (3, 40)])
+def test_log_chars_match_the_per_entry_formula(theta, n):
+    # one exponential per distinct depth gives the per-entry sum bit for bit
+    from orthospin import spectra
+
+    table = spectra.line_table(n, theta).weights
+    for h in (-1.0, 0.3, 8.0):
+        terms = table.mult * np.exp(-abs(h) * table.depth)
+        scaled = np.bincount(table.row, terms, minlength=len(table.top))
+        assert np.array_equal(table.log_chars(h), abs(h) * table.top + np.log(scaled))
 
 
 @settings(max_examples=40, deadline=None)

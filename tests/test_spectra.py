@@ -479,6 +479,24 @@ def test_even_theta_p_shares_the_q_transposition_sum(monkeypatch):
     assert calls == [(2, 5), (2, 6), (4, 3), (4, 4)]
 
 
+def test_standard_basis_p_shares_the_q_transposition_sum(monkeypatch):
+    # sum T does not depend on the flavor: Q then P assemble it once
+    for value in vars(spectra).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    calls = []
+    transposition_sum = spectra._transposition_sum
+
+    def counting(basis):
+        calls.append((basis.theta, basis.n))
+        return transposition_sum(basis)
+
+    monkeypatch.setattr(spectra, "_transposition_sum", counting)
+    q, p = sum_pair_ops(2, 6, "Q"), sum_pair_ops(2, 6, "P")
+    assert calls == [(2, 6)]
+    assert p[0] is q[0]
+
+
 def test_odd_theta_p_shares_the_q_cache_entries():
     # at odd theta both pair vectors are symmetric: the blocks are the same
     for theta, n in ((3, 3), (3, 6), (3, 7), (5, 4)):
