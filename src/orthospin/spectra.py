@@ -22,9 +22,11 @@ basis where the pair vector reads sum_i s_i |i, theta-1-i> (the torus
 basis), sum T and sum B are block-diagonal in the net charges
 q_i = #i - #(theta-1-i), i < theta//2: place permutations keep the digit
 counts, and a bar trades one charge-free pair (i, theta-1-i) for another.
-A field matrix W that preserves the flavor's pair form (W^T J + J W = 0)
-acts on the sector of charges q as the scalar sum_k y_k q_k, with +-y_k the
-torus weights of W; a W that breaks the form is rejected.  The global flip
+The field W = default_w(theta) has torus weights y = (1, 0, ..., 0) where
+it preserves the flavor's pair form (W^T J + J W = 0), so sum_x W_x acts
+on the sector of charges q as the scalar q_1; it breaks the signed-singlet
+form at odd theta >= 5, and require_field refuses a field for flavor P
+there on both routes.  The global flip
 F (digit i -> theta-1-i on every site) lies in O(theta), so it commutes
 with sum T and sum B and maps sector q onto -q: flip_reduce keeps one block
 per +-q pair and splits q = 0 into its F-even and F-odd halves.  The
@@ -129,13 +131,6 @@ def default_w(theta: int) -> np.ndarray:
     return w
 
 
-def validate_w(w: np.ndarray) -> None:
-    if not np.allclose(w.T, -w, atol=1e-12):
-        raise ValueError("W must be skew-symmetric (W^T = -W)")
-    if not np.allclose(w.conj().T, w, atol=1e-12):
-        raise ValueError("W must be Hermitian so the Hamiltonian is Hermitian")
-
-
 def require_finite(**values: float) -> None:
     """ValueError naming the first coupling that is nan or infinite."""
     for name, value in values.items():
@@ -149,6 +144,20 @@ def require_flavor(flavor: str) -> None:
         raise ValueError(f"unknown flavor {flavor}")
 
 
+def require_field(theta: int, flavor: str, h: float) -> None:
+    """ValueError for a field (h != 0) on flavor P at odd theta >= 5.
+
+    There the corner-block W = default_w(theta) does not preserve the
+    symmetric signed-singlet form, so sum_x W_x does not commute with H0;
+    W preserves flavor Q's form at every theta and flavor P's at theta = 3
+    and at even theta."""
+    if h and flavor == "P" and theta % 2 and theta >= 5:
+        raise ValueError(
+            f"the field W = default_w({theta}) does not preserve the flavor-P pair "
+            f"form at theta={theta}, so sum_x W_x does not commute with H0"
+        )
+
+
 @dataclass
 class HamiltonianSpec:
     theta: int
@@ -157,16 +166,12 @@ class HamiltonianSpec:
     L2: float
     h: float = 0.0
     flavor: str = "Q"
-    field_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.theta < 2 or self.n < 1:
             raise ValueError("need n >= 1 and theta >= 2")
         require_flavor(self.flavor)
         require_finite(L1=self.L1, L2=self.L2, h=self.h)
-        if self.field_matrix is None:
-            self.field_matrix = default_w(self.theta)
-        validate_w(self.field_matrix)
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,6 @@ def _reduced_transposition_sum(theta: int, n: int) -> Tuple[List[np.ndarray], Li
     return flip_reduce(basis, _transposition_sum(basis))
 
 
-@_cached_per_model
 def sector_pair_ops(theta: int, n: int,
                     flavor: str) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
     """(charges, blocks of sum T, blocks of sum B) in the torus basis,
@@ -359,7 +363,8 @@ def sector_pair_ops(theta: int, n: int,
     commutes with place permutations and fixes u, or sends it to -u in the
     symplectic case, so it commutes with both sums.  Sum T does not depend
     on the flavor: both flavors take the same charges and sum T blocks, and
-    each assembles only its sum B.
+    each call assembles only its sum B.  Uncached: its one caller,
+    joint_spectrum, caches what it solves from the blocks.
     """
     basis = sector_basis(theta, n)
     symplectic = flavor == "P" and theta % 2 == 0
@@ -431,22 +436,6 @@ def joint_spectrum(theta: int, n: int, flavor: str) -> JointSpectrum:
     return JointSpectrum(charges, np.concatenate(block), t_all, b_all, mult, np.log(mult))
 
 
-def field_weights(spec: HamiltonianSpec) -> np.ndarray:
-    """Torus weights y_1 >= ... >= y_r of the field matrix W.
-
-    sum_x W_x commutes with H0 only when W preserves the flavor's pair form
-    (W^T J + J W = 0); then W is diagonal in a torus basis with weights
-    +-y_k on the charged digits and sum_x W_x = sum_k y_k q_k on each sector.
-    """
-    w, form = spec.field_matrix, pair_form(spec.theta, spec.flavor)
-    if not np.allclose(w.T @ form + form @ w, 0.0, atol=1e-12):
-        raise ValueError(
-            f"field matrix does not preserve the flavor-{spec.flavor} pair form "
-            "(W^T J + J W != 0), so sum_x W_x does not commute with H0"
-        )
-    return np.sort(np.linalg.eigvalsh(w))[::-1][: spec.theta // 2]
-
-
 def embed_site(op1: np.ndarray, theta: int, n: int, x: int) -> np.ndarray:
     """Embed a one-site operator at site x (1-based)."""
     N = theta**n
@@ -463,7 +452,9 @@ def embed_site(op1: np.ndarray, theta: int, n: int, x: int) -> np.ndarray:
     return out
 
 
-def sum_field_op(theta: int, n: int, w: np.ndarray) -> np.ndarray:
+def sum_field_op(theta: int, n: int) -> np.ndarray:
+    """sum_x W_x in the standard basis, W = default_w(theta)."""
+    w = default_w(theta)
     N = theta**n
     out = np.zeros((N, N), dtype=complex)
     for x in range(1, n + 1):
@@ -472,12 +463,13 @@ def sum_field_op(theta: int, n: int, w: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """H = -sum_{x<y}(L1 T + L2 B) - h sum_x W_x, Hermitian."""
+    """H = -sum_{x<y}(L1 T + L2 B) - h sum_x W_x, W = default_w(theta),
+    Hermitian."""
     sum_t, sum_b = sum_pair_ops(spec.theta, spec.n, spec.flavor)
     h0 = -(spec.L1 * sum_t + spec.L2 * sum_b)
     if spec.h == 0.0:
         return h0
-    return h0.astype(complex) - spec.h * sum_field_op(spec.theta, spec.n, spec.field_matrix)
+    return h0.astype(complex) - spec.h * sum_field_op(spec.theta, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -605,30 +597,30 @@ def _z_from_log(log_z: float, **couplings: float) -> float:
 
 
 def z_direct(spec: HamiltonianSpec) -> float:
-    """tr[exp(-H0/n) exp(h sum_x W_x)] from the dense joint spectrum.
+    """tr[exp(-H0/n) exp(h sum_x W_x)] from the dense joint spectrum, with
+    W = default_w(theta).
 
     The field couples per site (not divided by n).  H0 = -(L1 sum T + L2
     sum B) is read off joint_spectrum, which solves each reduced block of
     the torus basis once per size: a call is one log-sum over the distinct
     (t, b) of every block of log(multiplicity) + (L1 t + L2 b)/n, with no
     eigensolve after the first call per (theta, n, flavor).  On the sector
-    of charges q, exp(h sum_x W_x) is the scalar exp(h sum_k y_k q_k), so
-    every h reuses the same spectrum; W must preserve the flavor's pair
-    form.  A block of a +-q pair of sectors enters with the weight
-    log(exp(h q.y) + exp(-h q.y)); the F-even and F-odd halves of q = 0
-    each enter with weight 1.  Only the default W = default_w(theta) has a
-    character-route counterpart (z_decomposed); a scaled s W at h is the
-    default W at s h.  ValueError when the couplings overflow a block's
+    of charges q, exp(h sum_x W_x) is the scalar exp(h q_1) (torus weights
+    y = (1, 0, ..., 0)), so every h reuses the same spectrum.  A block of a
+    +-q pair of sectors enters with the weight log(exp(h q_1) + exp(-h q_1));
+    the F-even and F-odd halves of q = 0 each enter with weight 1.
+    ValueError when require_field refuses the field (flavor P at odd theta
+    >= 5, as in z_decomposed), when the couplings overflow a block's
     eigenvalues or log Z, or when the joint spectrum fails its checks.
     """
     _check_cap(spec.theta, spec.n)
+    require_field(spec.theta, spec.flavor, spec.h)
     joint = joint_spectrum(spec.theta, spec.n, spec.flavor)
-    y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = (spec.L1 * joint.t + spec.L2 * joint.b) / spec.n
         if not np.all(np.isfinite(exponents)):
             raise ValueError(f"L1={spec.L1!r}, L2={spec.L2!r} overflow the dense blocks")
-        fields = np.array([_logsumexp(spec.h * (q @ y)) for q in joint.charges])
+        fields = np.array([_logsumexp(spec.h * q[:, 0]) for q in joint.charges])
         log_z = _logsumexp(fields[joint.block] + joint.log_mult + exponents)
     return _z_from_log(log_z, L1=spec.L1, L2=spec.L2, h=spec.h)
 
@@ -645,11 +637,14 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     equivalent to P at odd theta; at theta = 2, P = 1 - T gives
     Z_P(L1, L2) = exp(L2 (n-1)/2) Z_Q(L1-L2, 0), and P at even theta >= 4
     has no lines here.  Raises ValueError for an unknown flavor, when a
-    coupling is not finite, or when Z is not a positive finite double
-    (naming the couplings when they overflow log Z).
+    coupling is not finite, when require_field refuses the field (flavor P
+    at odd theta >= 5, where W breaks P's form and Q's lines do not
+    apply; z_direct refuses it too), or when Z is not a positive finite
+    double (naming the couplings when they overflow log Z).
     """
     require_flavor(flavor)
     require_finite(L1=L1, L2=L2, h=h)
+    require_field(theta, flavor, h)
     couplings = dict(L1=L1, L2=L2, h=h)
     log_shift = 0.0
     if flavor == "P" and theta % 2 == 0:

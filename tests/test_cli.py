@@ -82,10 +82,12 @@ def test_zchar_flavor_p():
 
 
 def test_zexact_rejects_bad_input():
-    # a field that does not preserve the signed-singlet form
-    res = run("zexact", "--theta", "5", "--n", "3", "--p1", "1", "--p2", "0.7",
-              "--flavor", "P", "--h", "0.5")
-    assert res.exit_code == 2
+    # a field that does not preserve the signed-singlet form, on both routes
+    for cmd in ("zexact", "zchar"):
+        res = run(cmd, "--theta", "5", "--n", "3", "--p1", "1", "--p2", "0.7",
+                  "--flavor", "P", "--h", "0.5")
+        assert res.exit_code == 2, cmd
+        assert "pair form" in res.output, cmd
     for cmd in ("zexact", "zchar"):
         res = run(cmd, "--theta", "2", "--n", "3", "--p1", "nan", "--p2", "0.7")
         assert res.exit_code == 2

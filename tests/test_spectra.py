@@ -28,11 +28,11 @@ from orthospin.spectra import (
     convert_parameters,
     default_w,
     dimer_ground_state,
-    field_weights,
     ising_product_states,
     joint_spectrum,
     line_eigenvalue,
     pair_form,
+    require_field,
     sector_basis,
     sector_pair_ops,
     spectral_lines,
@@ -263,15 +263,6 @@ def test_exact_mode_higher_theta_with_field():
                 assert abs(zd - zc) / zd < 1e-12, (theta, n, h)
 
 
-def test_field_with_custom_direction():
-    # a scaled field matrix s W at h is the default W at s h
-    s = 0.6
-    spec = HamiltonianSpec(3, 3, 0.9, 0.4, h=0.8, field_matrix=s * default_w(3))
-    zd = z_direct(spec)
-    zc = z_decomposed(3, 3, 0.9, 0.4, h=s * 0.8)
-    assert abs(zd - zc) / zd < 1e-12
-
-
 def test_oracle_mode_theta4_end_to_end():
     # the exact lines at theta=4 (King's sum from n=6) reproduce the dense trace
     for n in (2, 3, 4, 5, 6):
@@ -299,21 +290,9 @@ def test_dense_cap_enforced(monkeypatch):
     sum_pair_ops.cache_clear()
 
 
-def _spin_y(theta):
-    """S_y of spin (theta-1)/2 in the basis m = S, S-1, ..., -S."""
-    s = (theta - 1) / 2
-    w = np.zeros((theta, theta), dtype=complex)
-    for i in range(1, theta):
-        m = s - i  # <m+1| S_+ |m> sits at row i-1, column i
-        c = math.sqrt(s * (s + 1) - m * (m + 1)) / 2
-        w[i - 1, i] = -1j * c
-        w[i, i - 1] = 1j * c
-    return w
-
-
-def _preserves(w, theta, flavor):
-    j = pair_form(theta, flavor)
-    return np.allclose(w.T @ j + j @ w, 0.0, atol=1e-12)
+def _field_refused(theta, flavor, h):
+    """Where both routes refuse a field: flavor P at odd theta >= 5."""
+    return h != 0.0 and flavor == "P" and theta % 2 == 1 and theta >= 5
 
 
 def test_sector_route_matches_full_matrix_exponentials():
@@ -321,47 +300,82 @@ def test_sector_route_matches_full_matrix_exponentials():
     # tr[expm(-H0/n) expm(h sum_x W_x)] on the full standard-basis space
     rng = np.random.default_rng(11)
     checked = 0
-    for theta, ns in ((2, (2, 3, 4, 5)), (3, (2, 3, 4, 5)), (4, (2, 3, 4)), (5, (2, 3, 4))):
-        q, r = np.linalg.qr(rng.normal(size=(theta, theta)))
-        rot = q * np.sign(np.diag(r))
-        ws = [default_w(theta), 0.6 * default_w(theta), rot.T @ default_w(theta) @ rot]
-        if theta == 5:
-            ws.append(_spin_y(5))  # weights {2, 1}: two distinct torus weights
+    for theta, ns in ((2, (2, 3, 4, 5)), (3, (2, 3, 4, 5)), (4, (2, 3, 4)), (5, (2, 3, 4)),
+                      (6, (2, 3)), (7, (2, 3))):
         for n in ns:
             for flavor in ("Q", "P"):
                 L1, L2 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
                 h0 = build_hamiltonian(HamiltonianSpec(theta, n, L1, L2, flavor=flavor))
                 boltz = scipy.linalg.expm(-h0 / n)
-                for w in ws:
-                    for h in (0.0, 0.7, -0.7):
-                        spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor,
-                                               field_matrix=w)
-                        if h != 0.0 and not _preserves(w, theta, flavor):
-                            with pytest.raises(ValueError):
-                                z_direct(spec)
-                            continue
-                        g = scipy.linalg.expm(h * sum_field_op(theta, n, w))
-                        ref = float(np.real(np.sum(boltz * g.T)))
-                        assert abs(z_direct(spec) - ref) / ref < 1e-12, (theta, n, flavor, h)
-                        checked += 1
-    assert checked > 200
+                for h in (0.0, 0.7, -0.7):
+                    spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor)
+                    if _field_refused(theta, flavor, h):
+                        with pytest.raises(ValueError, match="pair form"):
+                            z_direct(spec)
+                        continue
+                    g = scipy.linalg.expm(h * sum_field_op(theta, n))
+                    ref = float(np.real(np.sum(boltz * g.T)))
+                    assert abs(z_direct(spec) - ref) / ref < 1e-12, (theta, n, flavor, h)
+                    checked += 1
+    assert checked == 98
 
 
-def test_spin_y_preserves_both_forms():
-    for theta in (2, 3, 4, 5):
-        w = _spin_y(theta)
-        assert _preserves(w, theta, "Q") and _preserves(w, theta, "P")
-    assert sorted(np.linalg.eigvalsh(_spin_y(5))) == pytest.approx([-2, -1, 0, 1, 2])
-    assert np.allclose(_spin_y(3), default_w(3))
+def test_field_rule_matches_the_pair_form():
+    # require_field refuses exactly where W = default_w(theta) breaks the
+    # flavor's pair form, W^T J + J W != 0
+    for theta in range(2, 10):
+        w = default_w(theta)
+        for flavor in ("Q", "P"):
+            j = pair_form(theta, flavor)
+            preserves = np.allclose(w.T @ j + j @ w, 0.0, atol=1e-12)
+            assert preserves == (not _field_refused(theta, flavor, 0.5)), (theta, flavor)
+            require_field(theta, flavor, 0.0)
+            if preserves:
+                require_field(theta, flavor, 0.5)
+            else:
+                with pytest.raises(ValueError, match="pair form"):
+                    require_field(theta, flavor, 0.5)
+
+
+@pytest.mark.parametrize("theta", range(2, 8))
+def test_routes_agree_or_refuse_alike(theta):
+    # every theta, flavor and field: both routes give Z to 1e-12, or both
+    # raise ValueError; flavor P at even theta >= 4 is dense-only
+    rng = np.random.default_rng(theta)
+    for n in (1, 2, 3):
+        for flavor in ("Q", "P"):
+            for h in (0.0, 0.5, -0.7):
+                L1, L2 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
+                spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor)
+                if flavor == "P" and theta % 2 == 0 and theta >= 4:
+                    assert z_direct(spec) > 0.0
+                    with pytest.raises(ValueError, match="character route covers"):
+                        z_decomposed(n, theta, L1, L2, h=h, flavor=flavor)
+                elif _field_refused(theta, flavor, h):
+                    with pytest.raises(ValueError):
+                        z_direct(spec)
+                    with pytest.raises(ValueError):
+                        z_decomposed(n, theta, L1, L2, h=h, flavor=flavor)
+                else:
+                    zd = z_direct(spec)
+                    zc = z_decomposed(n, theta, L1, L2, h=h, flavor=flavor)
+                    assert abs(zd - zc) <= 1e-12 * zd, (n, flavor, h)
 
 
 def test_field_must_preserve_pair_form():
-    # the theta=5 corner-block W preserves sum_a |a,a> but not the signed
-    # singlet, so sum_x W_x does not commute with the P Hamiltonian
-    spec = HamiltonianSpec(5, 3, 1.0, 0.7, h=0.5, flavor="P")
-    with pytest.raises(ValueError):
-        z_direct(spec)
+    # the corner-block W at odd theta >= 5 preserves sum_a |a,a> but not the
+    # signed singlet, so sum_x W_x does not commute with the P Hamiltonian:
+    # both routes raise the same ValueError
+    for theta in (5, 7):
+        for n in (2, 3):
+            for h in (0.5, -0.3):
+                with pytest.raises(ValueError, match="pair form") as dense:
+                    z_direct(HamiltonianSpec(theta, n, 1.0, 0.7, h=h, flavor="P"))
+                with pytest.raises(ValueError, match="pair form") as lines:
+                    z_decomposed(n, theta, 1.0, 0.7, h=h, flavor="P")
+                assert str(dense.value) == str(lines.value)
     assert z_direct(HamiltonianSpec(5, 3, 1.0, 0.7, flavor="P")) > 0
+    assert z_decomposed(3, 5, 1.0, 0.7, flavor="P") > 0
     assert z_direct(HamiltonianSpec(4, 3, 1.0, 0.7, h=0.5, flavor="P")) > 0
 
 
@@ -431,8 +445,7 @@ def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
 def test_z_direct_solves_each_charge_pair_once(monkeypatch):
     # the first z_direct of a size, after a cache clear, solves one block per
     # +-q sector pair and two (F-even, F-odd) for q = 0; later calls, at new
-    # couplings and fields, solve no block: at h != 0 the one eigvalsh left
-    # is field_weights' solve of the theta x theta field matrix W
+    # couplings and fields, solve no block
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -452,7 +465,7 @@ def test_z_direct_solves_each_charge_pair_once(monkeypatch):
         assert sum(calls) == (theta**n + sizes[len(sizes) // 2] * neutral) // 2
         calls.clear()
         z_direct(HamiltonianSpec(theta, n, -1.3, 1.7, h=0.8, flavor=flavor))
-        assert calls == [theta], (theta, n, flavor)
+        assert calls == [], (theta, n, flavor)
         calls.clear()
         z_direct(HamiltonianSpec(theta, n, 0.2, 0.6, flavor=flavor))
         assert calls == [], (theta, n, flavor)
@@ -470,7 +483,6 @@ def test_even_theta_p_shares_the_q_transposition_sum(monkeypatch):
 
     monkeypatch.setattr(spectra.SectorBasis, "permutation_sum", counting)
     for theta, n, flavors in ((2, 5, "QP"), (2, 6, "PQ"), (4, 3, "QP"), (4, 4, "PQ")):
-        sector_pair_ops.cache_clear()
         spectra._reduced_transposition_sum.cache_clear()
         for flavor in flavors:
             sector_pair_ops(theta, n, flavor)
@@ -498,12 +510,19 @@ def test_standard_basis_p_shares_the_q_transposition_sum(monkeypatch):
 
 
 def test_odd_theta_p_shares_the_q_cache_entries():
-    # at odd theta both pair vectors are symmetric: the blocks are the same
+    # at odd theta both pair vectors are symmetric: the blocks are the same,
+    # and P reads Q's cached joint spectrum
+    def same_blocks(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
     for theta, n in ((3, 3), (3, 6), (3, 7), (5, 4)):
-        assert sector_pair_ops(theta, n, "P") is sector_pair_ops(theta, n, "Q")
+        p, q = sector_pair_ops(theta, n, "P"), sector_pair_ops(theta, n, "Q")
+        assert p[1] is q[1] and same_blocks(p[2], q[2])
         assert joint_spectrum(theta, n, "P") is joint_spectrum(theta, n, "Q")
     for theta in (2, 4):
-        assert sector_pair_ops(theta, 3, "P") is not sector_pair_ops(theta, 3, "Q")
+        p, q = sector_pair_ops(theta, 3, "P"), sector_pair_ops(theta, 3, "Q")
+        assert p[1] is q[1] and not same_blocks(p[2], q[2])
+        assert joint_spectrum(theta, 3, "P") is not joint_spectrum(theta, 3, "Q")
 
 
 @pytest.mark.parametrize("t, b, reason", [
@@ -530,7 +549,8 @@ def _z_by_block_solves(spec):
     """Z as z_direct computed it before the joint spectrum: one eigvalsh of
     (L1 t + L2 b)/n per reduced block and coupling."""
     charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
-    y = field_weights(spec) if spec.h else np.zeros(spec.theta // 2)
+    # torus weights y_1 >= ... >= y_r of W = default_w(theta)
+    y = np.sort(np.linalg.eigvalsh(default_w(spec.theta)))[::-1][: spec.theta // 2]
     lse = scipy.special.logsumexp
     return math.exp(lse([lse(spec.h * (q @ y))
                          + lse(np.linalg.eigvalsh((spec.L1 * t + spec.L2 * b) / spec.n))
@@ -550,7 +570,7 @@ joint_sizes_st = st.one_of(
 def test_z_direct_matches_block_solves(size, flavor, L1, L2, h):
     theta, n = size
     spec = HamiltonianSpec(theta, n, L1, L2, h=h, flavor=flavor)
-    if h and not _preserves(spec.field_matrix, theta, flavor):
+    if _field_refused(theta, flavor, h):
         with pytest.raises(ValueError, match="pair form"):
             z_direct(spec)
         return
