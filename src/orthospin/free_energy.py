@@ -22,10 +22,12 @@ so the first one does not depend on the last bits of the couplings.
 
 The spin-1 boundary curve C runs on the same functional, grid and Newton:
 on the theta=3 ordered simplex with y_1 = x_1 - x_3 the wedge functional is
-phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).  One scan gives the signed excess
-of its best value over the symmetric one and, by the envelope theorem, the
-excess's J2-derivative; membership is the sign of the excess, and the curve
-is its root in J2, found by a Newton iteration safeguarded by bisection.
+phi_R(J1, J2) = phi(3, L1=J1, L2=J2-J1).  One scan, a grid pass plus one
+converged Newton per coarse cell of its 12 best grid points, gives the
+signed excess of its best value over the symmetric one and, by the envelope
+theorem, the excess's J2-derivative; membership is the sign of the excess,
+and the curve is its root in J2, found by a Newton iteration safeguarded by
+bisection.
 """
 
 from __future__ import annotations
@@ -155,6 +157,11 @@ def _grid_values(theta: int, step: float, L1: float, L2: float,
 _GRID_STEP = {2: 1e-3, 3: 1e-3, 4: 0.01, 5: 0.02, 6: 0.025}
 # grid step of the curve-C predicate (theta = 3)
 _CURVE_C_STEP = 0.004
+# cells per unit of the curve-C predicate's starts: its 12 best grid points
+# end in 1-4 distinct Newton outcomes, and one converged start per cell of
+# width 1/20 (12.5 grid steps) gives the excess of refining all 12 to rounding
+# at about a quarter of the Newtons
+_CURVE_C_CELLS = 20
 # width below which trace_curve_C stops narrowing the bracket of a boundary J2
 _CURVE_C_TOL = 1e-11
 # Newton stalls short of a maximiser where the Hessian is singular (at the
@@ -273,11 +280,12 @@ def _grouped_newton(L1: float, L2: float, habs: float,
     for n in sizes[1:]:
         free.append(sum(x0[pos:pos + n]) / n)
         pos += n
+    g = blocks(free)
+    if g is None:
+        return None
+    val = _block_value(sizes, L1, L2, habs, g, face)
     for _ in range(80):
-        g = blocks(free)
-        if g is None:
-            return None
-        val = _block_value(sizes, L1, L2, habs, g, face)
+        # g and val are those of the last accepted iterate, valued once
         grad, hess = _block_derivatives(sizes, L1, L2, habs, g, face)
         if not grad or max(map(abs, grad)) < 1e-11:
             break
@@ -294,22 +302,22 @@ def _grouped_newton(L1: float, L2: float, habs: float,
             cand = [f - scale * d for f, d in zip(free, step)]
             gc = blocks(cand)
             slack = noise if scale == 1.0 else 1e-15
-            if gc is not None and _block_value(sizes, L1, L2, habs, gc, face) >= val - slack:
-                free = cand
-                break
+            if gc is not None:
+                vc = _block_value(sizes, L1, L2, habs, gc, face)
+                if vc >= val - slack:
+                    free, g, val = cand, gc, vc
+                    break
             scale *= 0.5
         else:
             break
-    g = blocks(free)
-    if g is None:
-        return None
-    grad, _ = _block_derivatives(sizes, L1, L2, habs, g, face)
+    else:  # out of iterations: grad is still that of the iterate before g
+        grad, _ = _block_derivatives(sizes, L1, L2, habs, g, face)
     if grad and max(map(abs, grad)) > 1e-9:
         return None
     xs = tuple(v for n, v in zip(sizes, g) for _ in range(n))
     if any(b - a > 1e-12 for a, b in zip(xs, xs[1:])):
         return None
-    return _block_value(sizes, L1, L2, habs, g, face), xs + (0.0,) * zeros
+    return val, xs + (0.0,) * zeros
 
 
 def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeResult:
@@ -334,18 +342,11 @@ def maximize_phi(theta: int, L1: float, L2: float, h: float = 0.0) -> MaximizeRe
         raise ValueError(f"L1={L1!r}, L2={L2!r}, h={h!r} overflow phi on the grid")
     best_x = tuple(float(v) for v in grid[int(np.argmax(vals))])
     top = np.nonzero(vals >= best - 1e-4)[0]
-    # keep one representative start per coarse grid cell (flat near-critical
-    # basins otherwise flood the refiner with duplicates)
-    starts = []
-    buckets = set()
-    for i in top[np.argsort(-vals[top])]:
-        key = tuple(np.round(grid[i], 2))
-        if key in buckets:
-            continue
-        buckets.add(key)
-        starts.append(tuple(grid[i]))
-        if len(starts) >= 48:
-            break
+    ranked = top[np.argsort(-vals[top])]
+    # keep the best-ranked start per coarse grid cell of width 1/100 (flat
+    # near-critical basins otherwise flood the refiner with duplicates)
+    _, first = np.unique(np.rint(100.0 * grid[ranked]), axis=0, return_index=True)
+    starts = [tuple(grid[i]) for i in ranked[np.sort(first)[:48]]]
     # canonical starts keep both transition branches in play near beta_c
     sym = tuple([1.0 / theta] * theta)
     starts.append(sym)
@@ -521,8 +522,11 @@ def _region_excess(J1: float, J2: float) -> Tuple[float, float]:
 
     excess is the best grid or refined value of the wedge functional
     phi(3, L1=J1, L2=J2-J1) minus (symmetric value + REGION_TOL): the
-    predicate scans the grid of step _CURVE_C_STEP and refines its 12 best
-    points with the Newton of maximize_phi.  phi_R is affine in J2 at fixed
+    predicate scans the grid of step _CURVE_C_STEP and takes its 12 best
+    points in rank order into cells of width 1 / _CURVE_C_CELLS.  It refines
+    each with the Newton of maximize_phi unless an earlier start of its cell
+    has already returned a limit, so a start that ends at a saddle (None)
+    leaves its cell to the next one.  phi_R is affine in J2 at fixed
     x, so by the envelope theorem the slope is its J2-derivative at the point
     x that attains the best value, (sum x_i^2 - (x_1 - x_3)^2) / 2, less 1/6
     for the symmetric value.
@@ -533,12 +537,18 @@ def _region_excess(J1: float, J2: float) -> Tuple[float, float]:
     L1, L2 = J1, J2 - J1
     bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + REGION_TOL
     grid, vals = _grid_values(3, _CURVE_C_STEP, L1, L2, 0.0)
-    order = np.argsort(vals)[::-1][:12]
+    top = np.argpartition(vals, -12)[-12:]
+    order = top[np.argsort(-vals[top])]
     best, x = float(vals[order[0]]), tuple(grid[order[0]])
-    for i in order:
+    converged = set()
+    for i, cell in zip(order, map(tuple, np.rint(_CURVE_C_CELLS * grid[order]))):
+        if cell in converged:
+            continue
         res = _grouped_newton(L1, L2, 0.0, _interior(grid[i]))
-        if res is not None and res[0] > best:
-            best, x = res
+        if res is not None:
+            converged.add(cell)
+            if res[0] > best:
+                best, x = res
     slope = 0.5 * (sum(v * v for v in x) - (x[0] - x[2]) ** 2) - 1.0 / 6.0
     return best - bar, slope
 
@@ -550,8 +560,9 @@ def in_disordered_region(J1: float, J2: float) -> bool:
     J1 >= J2 the inner y maximisation of phi(3, L1=J1, L2=J2-J1) puts y_1
     there, so the predicate scans that phi on the grid of step
     _CURVE_C_STEP and refines the 12 best grid points with the Newton of
-    maximize_phi.  It answers False when a grid or refined value exceeds the
-    symmetric value by more than REGION_TOL (_region_excess is positive).
+    maximize_phi, one converged start per coarse cell (_region_excess).  It
+    answers False when a grid or refined value exceeds the symmetric value
+    by more than REGION_TOL (_region_excess is positive).
     Couplings outside the wedge or not finite raise ValueError.
     """
     return _region_excess(J1, J2)[0] <= 0.0

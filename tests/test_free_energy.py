@@ -465,6 +465,144 @@ def test_region_excess_slope_is_its_j2_derivative():
         assert fe._region_excess(J1, J2)[1] == pytest.approx((up - down) / (2 * d), abs=1e-6)
 
 
+def _region_excess_all_starts(J1, J2):
+    """_region_excess refining every one of the 12 best grid points, however
+    many share a Newton limit (reference)."""
+    L1, L2 = J1, J2 - J1
+    bar = phi(3, L1, L2, SimplexPoint((1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0))) + fe.REGION_TOL
+    grid, vals = fe._grid_values(3, fe._CURVE_C_STEP, L1, L2, 0.0)
+    order = np.argsort(vals)[::-1][:12]
+    best, x = float(vals[order[0]]), tuple(grid[order[0]])
+    for i in order:
+        res = fe._grouped_newton(L1, L2, 0.0, fe._interior(grid[i]))
+        if res is not None and res[0] > best:
+            best, x = res
+    slope = 0.5 * (sum(v * v for v in x) - (x[0] - x[2]) ** 2) - 1.0 / 6.0
+    return best - bar, slope
+
+
+def _curve_c_probes():
+    """728 wedge points: each J2 of trace_curve_C(40, 1.9) shifted by
+    +-{1e-3, 1e-5, 1e-8, 1e-10}, and 400 seeded points with J1 in [-1, 4] and
+    J1 - J2 in [0, 5]."""
+    probes = [(J1, J2 + s * d) for J1, J2 in trace_curve_C(40, j1_min=1.9)
+              for d in (1e-3, 1e-5, 1e-8, 1e-10) for s in (1, -1)]
+    rng = np.random.default_rng(31)
+    probes += [(float(a), float(a - b)) for a, b in zip(rng.uniform(-1.0, 4.0, 400),
+                                                         rng.uniform(0.0, 5.0, 400))]
+    return probes
+
+
+def test_one_start_per_cell_matches_all_starts():
+    probes = _curve_c_probes()
+    assert len(probes) == 728
+    for J1, J2 in probes:
+        got, want = fe._region_excess(J1, J2), _region_excess_all_starts(J1, J2)
+        assert (got[0] > 0.0) == (want[0] > 0.0), (J1, J2, got, want)
+        assert abs(got[0] - want[0]) <= 1e-14, (J1, J2, got, want)
+        assert abs(got[1] - want[1]) <= 1e-9, (J1, J2, got, want)
+
+
+def test_a_cell_whose_best_start_ends_at_a_saddle_falls_through():
+    # the best-ranked start of the winning cell ends at a saddle (Newton
+    # returns None): skipping the rest of its cell reads excess -1.77e-6 and
+    # slope -9.9e-5 here, where every start read together gives -1e-9 and 0
+    J1, J2 = 2.3241329672450215, 1.6534938065693194
+    L1, L2 = J1, J2 - J1
+    grid, vals = fe._grid_values(3, fe._CURVE_C_STEP, L1, L2, 0.0)
+    assert fe._grouped_newton(L1, L2, 0.0, fe._interior(grid[np.argmax(vals)])) is None
+    got, want = fe._region_excess(J1, J2), _region_excess_all_starts(J1, J2)
+    assert abs(got[0] - want[0]) <= 1e-14 and abs(got[1] - want[1]) <= 1e-9, (got, want)
+    assert got[0] == pytest.approx(-1e-9, abs=1e-12) and abs(got[1]) <= 1e-9, got
+
+
+def test_curve_c_refines_few_starts_per_scan(monkeypatch):
+    # all 12 best grid points were refined in every scan; they end in 1-4
+    # distinct outcomes
+    scans, newtons = [], []
+    region_excess, grouped_newton = fe._region_excess, fe._grouped_newton
+
+    def counted_scan(J1, J2):
+        scans.append((J1, J2))
+        return region_excess(J1, J2)
+
+    def counted_newton(*args):
+        newtons.append(args)
+        return grouped_newton(*args)
+
+    monkeypatch.setattr(fe, "_region_excess", counted_scan)
+    monkeypatch.setattr(fe, "_grouped_newton", counted_newton)
+    trace_curve_C(10, j1_min=2.1)
+    assert len(scans) == 134, len(scans)
+    assert len(newtons) <= 4 * len(scans), len(newtons) / len(scans)
+
+
+def test_newton_values_each_accepted_iterate_once(monkeypatch):
+    valued = []
+    block_value = fe._block_value
+
+    def counted(sizes, L1, L2, habs, g, face=False):
+        valued.append(tuple(g))
+        return block_value(sizes, L1, L2, habs, g, face)
+
+    monkeypatch.setattr(fe, "_block_value", counted)
+    starts = ((0.5, 0.3, 0.2), (0.7, 0.2, 0.1), (0.9, 0.1, 0.0), (0.4, 0.35, 0.25))
+    for (L1, L2, habs), x0 in itertools.product(
+            ((2.5, -0.8, 0.0), (3.5, -7.5, 0.0), (1.3, 0.4, 0.7), (2.1, -0.9, 0.0)), starts):
+        valued.clear()
+        fe._grouped_newton(L1, L2, habs, x0)
+        assert valued and len(valued) == len(set(valued)), (L1, L2, habs, x0)
+
+
+def test_phase_label_agrees_with_the_region_predicate_near_curve_c():
+    # classify_phase maximises on the 1e-3 grid of maximize_phi, the region
+    # predicate on the 0.004 grid of the curve-C scans
+    points = [(J1, J2 + d) for J1, J2 in trace_curve_C(10, j1_min=1.9)
+              for d in (-5e-2, -1e-2, -2e-3, 2e-3, 1e-2, 5e-2) if J2 + d <= J1]
+    assert len(points) == 64
+    for J1, J2 in points:
+        disordered = classify_phase(3, J1, J2).label == "Disordered"
+        assert disordered == in_disordered_region(J1, J2), (J1, J2)
+
+
+def test_corner_maximiser_reached_from_its_canonical_start():
+    # two blocks below 1e-6 group as one from every start near the corner;
+    # only the (0.99, 0.01, 0) canonical start reaches this maximiser
+    res = maximize_phi(3, 13.17, -3.91)
+    assert res.value == pytest.approx(6.585001945216999, rel=1e-12)
+    assert len(res.points) == 1
+    want = (0.99999805474283632, 1.9070395015124866e-06, 3.8217662177993389e-08)
+    assert max(abs(a - b) for a, b in zip(res.points[0].x, want)) <= 1e-9, res.points
+
+
+@pytest.mark.parametrize("theta, L1, L2, h", [
+    (2, 1.2, 0.7, 0.0), (2, 3.0, -1.0, 0.4), (3, 2.3, -0.7, 0.0), (3, 13.17, -3.91, 0.0),
+    (3, 1.0, 0.5, 0.3), (4, beta_c(4), 0.0, 0.0), (5, 1.0, 1.5, 0.0),
+])
+def test_maximize_phi_starts_one_point_per_cell(monkeypatch, theta, L1, L2, h):
+    # the best-ranked grid point of each cell of width 1/100 among those
+    # within 1e-4 of the best, at most 48, come first
+    grid, vals = fe._grid_values(theta, fe._GRID_STEP.get(theta, 0.05), L1, L2, abs(h))
+    top = np.nonzero(vals >= np.max(vals) - 1e-4)[0]
+    want, cells = [], set()
+    for i in top[np.argsort(-vals[top])]:
+        cell = tuple(np.round(grid[i], 2))
+        if cell not in cells and len(want) < 48:
+            cells.add(cell)
+            want.append(fe._interior(tuple(grid[i])))
+    starts = []
+    grouped_newton = fe._grouped_newton
+
+    def recorded(L1, L2, habs, x0):
+        starts.append(x0)
+        return grouped_newton(L1, L2, habs, x0)
+
+    monkeypatch.setattr(fe, "_grouped_newton", recorded)
+    maximize_phi(theta, L1, L2, h)
+    # the canonical starts follow, less those that repeat a grid start
+    assert starts[:len(want)] == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_solve_matches_numpy_on_well_conditioned_systems(m, seed):
