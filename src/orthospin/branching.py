@@ -45,6 +45,7 @@ from .partitions import (
     enumerate_partitions,
     line_invariants,
     partitions_inside,
+    require_size,
     _trusted,
     _trusted_pair,
 )
@@ -309,8 +310,7 @@ def positive_lines(n: int, theta: int) -> LineIndex:
     when rho_theta is odd.  A label gets its id once per flip parity, keyed
     by its parts, so no pair is built per line and no line's Partition is
     hashed to index it."""
-    if n < 1 or theta < 2:
-        raise ValueError("need n >= 1 and theta >= 2")
+    require_size(theta, n)
     rhos = enumerate_partitions(n, theta)
     if theta <= 3:
         rho_index, labels, lam_index, b = _closed_form_lines(n, theta, rhos)
@@ -374,24 +374,26 @@ def spectral_extract_branching(n: int, theta: int,
     """Read b off the dense joint integer spectrum of sum T and sum B.
 
     On the line (lambda, k, rho), sum T acts as c(rho) and sum B as c(rho)
-    - c(lambda) + k(theta - 1), so spectra.joint_spectrum(theta, n, "Q")
-    gives, as exact integers, the dimension of the joint eigenspace of
-    every pair (t, b): the multiplicity of each decoded pair times the
-    number of charges its block stands for.  The candidates sharing the
+    - c(lambda) + k(theta - 1), so spectra.joint_spectrum(n, theta) (loop
+    weight delta = theta) gives, as exact integers, the dimension of the
+    joint eigenspace of every pair (t, b): the multiplicity of each decoded
+    pair times the number of charges its block stands for.  The candidates sharing the
     invariants (t, b) of partitions.line_invariants form one group, and
     each group is solved by one rule: the b with 0 <= b <= btilde (the
     cell-module bound) whose sum of b d_O d_Sn is the group's dimension.
     joint_spectrum's lattice, commute and trace checks guard the decode.
     Raises UnresolvedExtractionError when a decoded pair lies on no
     candidate's line, when a group has no solution or more than one, or
-    when the multiplicities do not sum to theta^n.  seed is not read; it
+    when the multiplicities do not sum to theta^n, and ValueError first
+    when partitions.require_size refuses (n, theta).  seed is not read; it
     stays for callers that pass one.
     """
     from . import spectra
     from .group_chars import dim_o
 
+    require_size(theta, n)
     spectra._check_cap(theta, n)
-    joint = spectra.joint_spectrum(theta, n, "Q")
+    joint = spectra.joint_spectrum(n, theta)
     candidates = enumerate_lambda_rho(n, theta)
     weights = [dim_o(p.lam, theta) * dim_sn(p.rho) for p in candidates]
     btilde = [cell_branching(p.lam, p.rho) for p in candidates]

@@ -1,6 +1,11 @@
 """Brauer-algebra diagrams, loop-counted multiplication, and the two tensor
 representations (bar -> Q projector, bar -> P signed singlet).
 
+specialise(theta, flavor) names the algebra a flavor represents: s -> T,
+e -> B give B_n(theta) for a symmetric pair form, and s -> -T, e -> -B give
+B_n(-theta) for the symplectic one of P at even theta (R. Brauer, Ann.
+Math. 38 (1937) 857).
+
 Points of a size-n diagram are the 2n integers +1..+n (top row) and -1..-n
 (bottom row).  A diagram is a perfect matching stored canonically as a
 sorted tuple of sorted pairs.  multiply(d1, d2) stacks d1 on top of d2
@@ -57,6 +62,20 @@ def format_diagram(d: BrauerDiagram) -> str:
         return f"{abs(p)}{'+' if p > 0 else '-'}"
 
     return " ".join(f"{fmt(a)}:{fmt(b)}" for a, b in d.edges)
+
+
+def specialise(theta: int, flavor: str) -> Tuple[int, bool]:
+    """(delta, signed): the loop weight delta of the Brauer algebra B_n(delta)
+    that the flavor's tensor representation carries, and whether a diagram
+    enters with a sign (see verify_homomorphism).  (theta, False) for Q and
+    for P at odd theta, whose pair forms are symmetric; (-theta, True) for P
+    at even theta, whose form is symplectic.  ValueError for any other
+    flavor."""
+    if flavor not in ("Q", "P"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor == "P" and theta % 2 == 0:
+        return -theta, True
+    return theta, False
 
 
 def identity(n: int) -> BrauerDiagram:
@@ -229,23 +248,17 @@ def embed_pair(op2: np.ndarray, theta: int, n: int, x: int, y: int) -> np.ndarra
     return out
 
 
-def represent(d: BrauerDiagram, theta: int, flavor: str = "Q") -> np.ndarray:
-    """Matrix of the diagram on (C^theta)^(x) n.
-
-    The diagram is factored as sigma * E * tau with sigma, tau permutations
-    and E a product of bars at positions (1,2), (3,4), ...; only generator
-    actions are defined directly, and homomorphism tests certify that the
-    result is independent of the factorization.
-    """
-    if flavor not in ("Q", "P"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+def _factor(d: BrauerDiagram) -> Tuple[List[int], int, List[int]]:
+    """(sigma, k, tau) with d = sigma * E^k * tau: E the product of the bars
+    at positions (1,2), ..., (2k-1,2k), and sigma, tau permutations with
+    sigma[pos-1] = value."""
     n = d.n
     top_bars = [(a, b) for a, b in d.edges if a > 0 and b > 0]
     bottom_bars = [(-a, -b) for a, b in d.edges if a < 0 and b < 0]
     through = [(a, -b) for a, b in d.edges if a > 0 and b < 0]
     k = len(top_bars)
 
-    sigma = [0] * n  # sigma[pos-1] = value
+    sigma = [0] * n
     tau = [0] * n
     for i, (a, b) in enumerate(top_bars):
         sigma[2 * i] = a
@@ -256,7 +269,26 @@ def represent(d: BrauerDiagram, theta: int, flavor: str = "Q") -> np.ndarray:
     for j, (t, u) in enumerate(through):
         sigma[2 * k + j] = t
         tau[u - 1] = 2 * k + j + 1
+    return sigma, k, tau
 
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """sgn of a permutation: (-1)^(number of inversions)."""
+    inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def represent(d: BrauerDiagram, theta: int, flavor: str = "Q") -> np.ndarray:
+    """Matrix of the diagram on (C^theta)^(x) n.
+
+    The diagram is factored as sigma * E^k * tau (_factor); only generator
+    actions are defined directly, and homomorphism tests certify that the
+    result is independent of the factorization.  ValueError for an unknown
+    flavor (specialise).
+    """
+    specialise(theta, flavor)
+    n = d.n
+    sigma, k, tau = _factor(d)
     bar2 = pair_q_matrix(theta) if flavor == "Q" else pair_p_matrix(theta)
     mat = perm_matrix(sigma, theta, n)
     for i in range(k):
@@ -272,11 +304,23 @@ def verify_homomorphism(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> dict:
-    """Check represent(d1) @ represent(d2) == theta**loops * represent(d1 d2)
-    to HOMOMORPHISM_TOL in the largest entry.
+    """Check R(d1) @ R(d2) == delta**loops * R(d1 d2) to HOMOMORPHISM_TOL in
+    the largest entry, with (delta, signed) = specialise(theta, flavor) and
+    R(d) = represent(d), times (-1)^k sgn(sigma) sgn(tau) from represent's
+    factorization d = sigma * E^k * tau when signed: the identity of
+    B_n(theta) for a symmetric pair form, of B_n(-theta) for a symplectic one.
 
     Returns a report dict; the first failing pair, if any, is recorded.
     """
+    delta, signed = specialise(theta, flavor)
+
+    def rep(d: BrauerDiagram) -> np.ndarray:
+        mat = represent(d, theta, flavor)
+        if not signed:
+            return mat
+        sigma, k, tau = _factor(d)
+        return (-1) ** k * _perm_sign(sigma) * _perm_sign(tau) * mat
+
     rng = np.random.default_rng(seed)
     if exhaustive:
         diagrams = list(all_diagrams(n))
@@ -287,9 +331,9 @@ def verify_homomorphism(
         ]
     worst = 0.0
     for d1, d2 in pairs:
-        lhs = represent(d1, theta, flavor) @ represent(d2, theta, flavor)
+        lhs = rep(d1) @ rep(d2)
         prod, loops = multiply(d1, d2)
-        rhs = float(theta) ** loops * represent(prod, theta, flavor)
+        rhs = float(delta) ** loops * rep(prod)
         err = float(np.max(np.abs(lhs - rhs)))
         worst = max(worst, err)
         if err > HOMOMORPHISM_TOL:

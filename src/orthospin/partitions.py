@@ -223,12 +223,18 @@ def line_invariants(pair: LambdaRhoPair, theta: int) -> Tuple[int, int]:
     return content_sum(pair.rho), content_sum(pair.lam) + pair.k * (1 - theta)
 
 
+def require_size(theta: int, n: int) -> None:
+    """ValueError unless the model has a site and a one-site space of
+    dimension at least 2: n >= 1 and theta >= 2."""
+    if n < 1 or theta < 2:
+        raise ValueError("need n >= 1 and theta >= 2")
+
+
 def enumerate_lambda_rho(n: int, theta: int) -> List[LambdaRhoPair]:
     """All pairs (lambda, k, rho): lambda |- n-2k with first two columns
     summing to <= theta, rho |- n with at most theta rows.
     """
-    if n < 1 or theta < 2:
-        raise ValueError("need n >= 1 and theta >= 2")
+    require_size(theta, n)
     rhos = enumerate_partitions(n, theta)
     lams: List[Tuple[Partition, int]] = []
     for k in range(n // 2 + 1):

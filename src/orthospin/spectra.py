@@ -32,9 +32,13 @@ with sum T and sum B and maps sector q onto -q: flip_reduce keeps one block
 per +-q pair and splits q = 0 into its F-even and F-odd halves.  The
 blocks come from index arithmetic on the base-theta digits of the basis
 states, and the same assembler gives the standard-basis operators (one
-sector) used by build_hamiltonian and the ground-state checks.  At odd
-theta both flavors' pair vectors are symmetric, so P shares Q's blocks and
-cache entries; sum T, the same for both flavors, is assembled once per size.
+sector) used by build_hamiltonian and the ground-state checks.  The torus
+blocks depend on the flavor only through the loop weight delta of
+brauer.specialise, and are keyed by (n, delta): at odd theta both pair
+vectors are symmetric and P is B_n(theta) like Q, so P reads Q's blocks and
+cache entries; at even theta P's form is symplectic, delta = -theta, and
+its sum B takes the signs (-1)^i.  sum T, the same for both flavors, is
+assembled once per size.
 
 sum T and sum B commute, and their joint eigenvalues are integers: c(rho)
 and c(rho) - c(lambda) + k(theta - 1) on the line (lambda, k, rho).
@@ -85,15 +89,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import branching
-from .brauer import pair_form, perfect_matchings
+from .brauer import pair_form, perfect_matchings, specialise
 from .group_chars import WeightTable, weight_table
-from .partitions import LambdaRhoPair, Partition, content_sum
+from .partitions import LambdaRhoPair, Partition, content_sum, require_size
 from .tableaux import dim_sn
 
 DEFAULT_DENSE_CAP = 4096
@@ -138,12 +142,6 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def require_flavor(flavor: str) -> None:
-    """ValueError unless flavor is Q (projector) or P (signed singlet)."""
-    if flavor not in ("Q", "P"):
-        raise ValueError(f"unknown flavor {flavor}")
-
-
 def require_field(theta: int, flavor: str, h: float) -> None:
     """ValueError for a field (h != 0) on flavor P at odd theta >= 5.
 
@@ -168,9 +166,8 @@ class HamiltonianSpec:
     flavor: str = "Q"
 
     def __post_init__(self):
-        if self.theta < 2 or self.n < 1:
-            raise ValueError("need n >= 1 and theta >= 2")
-        require_flavor(self.flavor)
+        require_size(self.theta, self.n)
+        specialise(self.theta, self.flavor)
         require_finite(L1=self.L1, L2=self.L2, h=self.h)
 
 
@@ -330,45 +327,35 @@ def flip_reduce(basis: SectorBasis,
     return charges, reduced
 
 
-def _cached_per_model(fn):
-    """lru_cache for fn(theta, n, flavor) that keys flavor P at odd theta as
-    Q, whose torus-basis blocks are the same (see sector_pair_ops)."""
-    cached = lru_cache(maxsize=32)(fn)
-
-    @wraps(fn)
-    def lookup(theta: int, n: int, flavor: str):
-        return cached(theta, n, "Q" if flavor == "P" and theta % 2 else flavor)
-
-    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
-    return lookup
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _reduced_transposition_sum(theta: int, n: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """(charges, blocks of sum T) in the torus basis, reduced by the global
-    flip: one assembly per size, shared by both flavors."""
+    flip: one assembly per size, shared by both flavors when they run back
+    to back.  One entry: joint_spectrum caches what it solves, so older
+    sizes' blocks would only hold memory."""
     basis = sector_basis(theta, n)
     return flip_reduce(basis, _transposition_sum(basis))
 
 
-def sector_pair_ops(theta: int, n: int,
-                    flavor: str) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+def sector_pair_ops(n: int,
+                    delta: int) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
     """(charges, blocks of sum T, blocks of sum B) in the torus basis,
-    reduced by the global flip (flip_reduce).
+    reduced by the global flip (flip_reduce), for the model of loop weight
+    delta (brauer.specialise) on theta = |delta| states per site.
 
     A unitary change of one-site basis takes the flavor's pair vector to
-    u = sum_i s_i |i, theta-1-i>, with s_i = 1 for Q and for P at odd theta
-    (both forms are symmetric) and s_i = (-1)^i for P at even theta (a
-    symplectic form); the spectrum of every block is basis independent.  F
-    commutes with place permutations and fixes u, or sends it to -u in the
-    symplectic case, so it commutes with both sums.  Sum T does not depend
-    on the flavor: both flavors take the same charges and sum T blocks, and
-    each call assembles only its sum B.  Uncached: its one caller,
-    joint_spectrum, caches what it solves from the blocks.
+    u = sum_i s_i |i, theta-1-i>, with s_i = 1 for a symmetric form (delta
+    = theta: Q, and P at odd theta) and s_i = (-1)^i for a symplectic one
+    (delta = -theta: P at even theta); the spectrum of every block is basis
+    independent.  F commutes with place permutations and fixes u, or sends
+    it to -u in the symplectic case, so it commutes with both sums.  Sum T
+    does not depend on delta: both signs take the same charges and sum T
+    blocks, and each call assembles only its sum B.  Uncached: its one
+    caller, joint_spectrum, caches what it solves from the blocks.
     """
+    theta = abs(delta)
     basis = sector_basis(theta, n)
-    symplectic = flavor == "P" and theta % 2 == 0
-    signs = (-1.0) ** np.arange(theta) if symplectic else np.ones(theta)
+    signs = (-1.0) ** np.arange(theta) if delta < 0 else np.ones(theta)
     charges, sum_t = _reduced_transposition_sum(theta, n)
     return charges, sum_t, flip_reduce(basis, _bar_sum(basis, np.arange(theta)[::-1], signs))[1]
 
@@ -393,9 +380,10 @@ class JointSpectrum:
             a.setflags(write=False)  # the spectrum is cached and shared
 
 
-@_cached_per_model
-def joint_spectrum(theta: int, n: int, flavor: str) -> JointSpectrum:
-    """The joint spectrum of sum T and sum B, one eigensolve per reduced block.
+@lru_cache(maxsize=32)
+def joint_spectrum(n: int, delta: int) -> JointSpectrum:
+    """The joint spectrum of sum T and sum B, one eigensolve per reduced block
+    of sector_pair_ops(n, delta).
 
     Every B_{x,y} has norm theta, so |b| <= bound = C(n,2) theta, and each
     eigenvalue r = K t + b of K sum T + sum B, K = 2 bound + 1, decodes as
@@ -404,13 +392,14 @@ def joint_spectrum(theta: int, n: int, flavor: str) -> JointSpectrum:
     lies more than LATTICE_TOL off the integers, or when the decoded t or b
     do not sum to the trace of the block of sum T or sum B.
     """
-    charges, blocks_t, blocks_b = sector_pair_ops(theta, n, flavor)
+    theta = abs(delta)
+    charges, blocks_t, blocks_b = sector_pair_ops(n, delta)
     bound = math.comb(n, 2) * theta
     scale = 2 * bound + 1
     probe = np.random.default_rng(0)
     block, pairs, counts = [], [], []
     for k, (t, b) in enumerate(zip(blocks_t, blocks_b)):
-        where = f"block {k} of theta={theta}, n={n}, flavor {flavor}"
+        where = f"block {k} of n={n}, delta={delta}"
         v = probe.standard_normal(len(t))
         residual = np.linalg.norm(t @ (b @ v) - b @ (t @ v))
         if not residual <= COMMUTE_TOL * np.linalg.norm(t) * np.linalg.norm(b) * np.linalg.norm(v):
@@ -604,18 +593,20 @@ def z_direct(spec: HamiltonianSpec) -> float:
     sum B) is read off joint_spectrum, which solves each reduced block of
     the torus basis once per size: a call is one log-sum over the distinct
     (t, b) of every block of log(multiplicity) + (L1 t + L2 b)/n, with no
-    eigensolve after the first call per (theta, n, flavor).  On the sector
-    of charges q, exp(h sum_x W_x) is the scalar exp(h q_1) (torus weights
-    y = (1, 0, ..., 0)), so every h reuses the same spectrum.  A block of a
-    +-q pair of sectors enters with the weight log(exp(h q_1) + exp(-h q_1));
-    the F-even and F-odd halves of q = 0 each enter with weight 1.
+    eigensolve after the first call per (n, delta), delta from
+    brauer.specialise.  On the sector of charges q, exp(h sum_x W_x) is the
+    scalar exp(h q_1) (torus weights y = (1, 0, ..., 0)), so every h reuses
+    the same spectrum.  A block of a +-q pair of sectors enters with the
+    weight log(exp(h q_1) + exp(-h q_1)); the F-even and F-odd halves of
+    q = 0 each enter with weight 1.
     ValueError when require_field refuses the field (flavor P at odd theta
     >= 5, as in z_decomposed), when the couplings overflow a block's
     eigenvalues or log Z, or when the joint spectrum fails its checks.
     """
     _check_cap(spec.theta, spec.n)
     require_field(spec.theta, spec.flavor, spec.h)
-    joint = joint_spectrum(spec.theta, spec.n, spec.flavor)
+    delta, _ = specialise(spec.theta, spec.flavor)
+    joint = joint_spectrum(spec.n, delta)
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = (spec.L1 * joint.t + spec.L2 * joint.b) / spec.n
         if not np.all(np.isfinite(exponents)):
@@ -642,12 +633,12 @@ def z_decomposed(n: int, theta: int, L1: float, L2: float, h: float = 0.0,
     apply; z_direct refuses it too), or when Z is not a positive finite
     double (naming the couplings when they overflow log Z).
     """
-    require_flavor(flavor)
+    _, signed = specialise(theta, flavor)
     require_finite(L1=L1, L2=L2, h=h)
     require_field(theta, flavor, h)
     couplings = dict(L1=L1, L2=L2, h=h)
     log_shift = 0.0
-    if flavor == "P" and theta % 2 == 0:
+    if signed:
         if theta != 2:
             raise ValueError("character route covers flavor P only at odd theta and theta=2")
         log_shift, L1, L2 = L2 * (n - 1) / 2, L1 - L2, 0.0
@@ -666,8 +657,7 @@ def total_spin_observable(n: int, theta: int, L1: float, L2: float, h: float,
     (AssertionError otherwise)."""
     if theta not in (2, 3):
         raise ValueError("total spin observable implemented for theta in {2,3}")
-    if n < 1:
-        raise ValueError("need n >= 1 and theta >= 2")
+    require_size(theta, n)
     dense = (z_direct(HamiltonianSpec(theta, n, L1, L2, h=h / n, flavor=flavor))
              / z_direct(HamiltonianSpec(theta, n, L1, L2, flavor=flavor)))
     decomposed = (z_decomposed(n, theta, L1, L2, h / n, flavor=flavor)
@@ -696,8 +686,8 @@ def total_spin_limit(theta: int, h: float, y1star: float) -> float:
 
 def _pair_vector(theta: int, flavor: str) -> np.ndarray:
     """sum_a |a,a> for flavor Q; the signed singlet sum_i (-1)^i |i,theta-1-i>
-    for flavor P, theta odd."""
-    if flavor == "P" and theta % 2 == 0:
+    for flavor P, theta odd (a symmetric form, brauer.specialise)."""
+    if specialise(theta, flavor)[1]:
         raise ValueError("signed singlet requires odd theta (integer spin labels)")
     return pair_form(theta, flavor).ravel()
 

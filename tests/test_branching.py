@@ -339,7 +339,7 @@ def test_extraction_refuses_an_undetermined_spectrum(monkeypatch, t, b, mult, re
     # 1 fits neither
     from orthospin import spectra
 
-    def joint(theta, n, flavor):
+    def joint(n, delta):
         mult_ = np.array([mult])
         return spectra.JointSpectrum([np.zeros((1, 2), dtype=np.int64)], np.array([0]),
                                      np.array([float(t)]), np.array([float(b)]), mult_,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orthospin import brauer
 from orthospin.brauer import (
     BrauerDiagram,
     all_diagrams,
@@ -120,6 +121,23 @@ def test_homomorphism_random():
     assert verify_homomorphism(3, 2, 50, flavor="Q")["ok"]
     assert verify_homomorphism(4, 2, 30, flavor="Q", seed=5)["ok"]
     assert verify_homomorphism(4, 4, 10, flavor="Q", seed=5)["ok"]
+
+
+@pytest.mark.parametrize("theta", [2, 4])
+def test_symplectic_p_represents_brauer_at_minus_theta(theta):
+    # P at even theta: d -> (-1)^k sgn(sigma) sgn(tau) represent(d), for
+    # d = sigma E^k tau, satisfies the B_n(-theta) identity on every pair of
+    # n = 3 diagrams
+    report = verify_homomorphism(3, theta, 0, flavor="P", exhaustive=True)
+    assert report == {"ok": True, "pairs_checked": 225, "max_error": 0.0}
+
+
+@pytest.mark.parametrize("theta", [2, 4])
+def test_symplectic_p_needs_the_sign(monkeypatch, theta):
+    # without the sign and with delta = theta, the B_n(theta) identity fails
+    monkeypatch.setattr(brauer, "specialise", lambda theta, flavor: (theta, False))
+    report = verify_homomorphism(3, theta, 0, flavor="P", exhaustive=True)
+    assert not report["ok"] and report["max_error"] == 2.0
 
 
 def test_format_diagram():

@@ -273,6 +273,13 @@ def test_verify_homomorphism():
     assert res.exit_code == 0
 
 
+def test_verify_homomorphism_flavor_p_at_even_theta():
+    # P at even theta represents B_n(-theta), with signed diagrams
+    res = run("verify", "homomorphism", "--theta", "4", "--n", "3", "--flavor", "P")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"]
+
+
 def test_verify_unitary():
     res = run("verify", "unitary", "--theta", "3")
     assert res.exit_code == 0

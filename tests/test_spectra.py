@@ -17,6 +17,7 @@ from orthospin.brauer import (
     pair_q_matrix,
     pair_t_matrix,
     perfect_matchings,
+    specialise,
 )
 from orthospin.group_chars import char_o_field, dim_o
 from orthospin.partitions import EMPTY, LambdaRhoPair, Partition, line_invariants
@@ -432,7 +433,7 @@ def test_flip_reduced_blocks_carry_the_whole_spectrum(size, flavor, L1, L2):
     # a half of the neutral sector; counted so, the blocks' eigenvalues are
     # the spectrum of H0
     theta, n = size
-    charges, blocks_t, blocks_b = sector_pair_ops(theta, n, flavor)
+    charges, blocks_t, blocks_b = sector_pair_ops(n, specialise(theta, flavor)[0])
     for q in charges:
         assert len(q) == 1 and not q.any() or len(q) == 2 and np.array_equal(q[1], -q[0])
     copies = [len(q) for q in charges]
@@ -482,11 +483,11 @@ def test_even_theta_p_shares_the_q_transposition_sum(monkeypatch):
         return permutation_sum(basis, sigmas)
 
     monkeypatch.setattr(spectra.SectorBasis, "permutation_sum", counting)
-    for theta, n, flavors in ((2, 5, "QP"), (2, 6, "PQ"), (4, 3, "QP"), (4, 4, "PQ")):
+    for theta, n, deltas in ((2, 5, (2, -2)), (2, 6, (-2, 2)), (4, 3, (4, -4)), (4, 4, (-4, 4))):
         spectra._reduced_transposition_sum.cache_clear()
-        for flavor in flavors:
-            sector_pair_ops(theta, n, flavor)
-        p, q = sector_pair_ops(theta, n, "P"), sector_pair_ops(theta, n, "Q")
+        for delta in deltas:
+            sector_pair_ops(n, delta)
+        p, q = sector_pair_ops(n, -theta), sector_pair_ops(n, theta)
         assert p[1] is q[1] and p[2] is not q[2]
     assert calls == [(2, 5), (2, 6), (4, 3), (4, 4)]
 
@@ -510,19 +511,23 @@ def test_standard_basis_p_shares_the_q_transposition_sum(monkeypatch):
 
 
 def test_odd_theta_p_shares_the_q_cache_entries():
-    # at odd theta both pair vectors are symmetric: the blocks are the same,
-    # and P reads Q's cached joint spectrum
+    # at odd theta both pair vectors are symmetric: P is B_n(theta) like Q,
+    # so it reads Q's cached joint spectrum; at even theta P is B_n(-theta),
+    # with its own sum B blocks and cache entry
     def same_blocks(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
 
     for theta, n in ((3, 3), (3, 6), (3, 7), (5, 4)):
-        p, q = sector_pair_ops(theta, n, "P"), sector_pair_ops(theta, n, "Q")
-        assert p[1] is q[1] and same_blocks(p[2], q[2])
-        assert joint_spectrum(theta, n, "P") is joint_spectrum(theta, n, "Q")
+        assert specialise(theta, "P") == specialise(theta, "Q") == (theta, False)
+        joint_spectrum.cache_clear()
+        for flavor in "PQ":
+            z_direct(HamiltonianSpec(theta, n, 0.9, -0.4, flavor=flavor))
+        assert joint_spectrum.cache_info().misses == 1
     for theta in (2, 4):
-        p, q = sector_pair_ops(theta, 3, "P"), sector_pair_ops(theta, 3, "Q")
+        assert specialise(theta, "P") == (-theta, True)
+        p, q = sector_pair_ops(3, -theta), sector_pair_ops(3, theta)
         assert p[1] is q[1] and not same_blocks(p[2], q[2])
-        assert joint_spectrum(theta, 3, "P") is not joint_spectrum(theta, 3, "Q")
+        assert joint_spectrum(3, -theta) is not joint_spectrum(3, theta)
 
 
 @pytest.mark.parametrize("t, b, reason", [
@@ -533,7 +538,7 @@ def test_odd_theta_p_shares_the_q_cache_entries():
 def test_bad_joint_spectrum_raises(monkeypatch, t, b, reason):
     # blocks with a spectrum off the integers, blocks that do not commute,
     # and a sum B past the decode bound (2 at theta = n = 2): no Z
-    def blocks(theta, n, flavor):
+    def blocks(n, delta):
         return [np.zeros((1, 1), dtype=np.int64)], [np.array(t)], [np.array(b)]
 
     joint_spectrum.cache_clear()
@@ -548,7 +553,7 @@ def test_bad_joint_spectrum_raises(monkeypatch, t, b, reason):
 def _z_by_block_solves(spec):
     """Z as z_direct computed it before the joint spectrum: one eigvalsh of
     (L1 t + L2 b)/n per reduced block and coupling."""
-    charges, blocks_t, blocks_b = sector_pair_ops(spec.theta, spec.n, spec.flavor)
+    charges, blocks_t, blocks_b = sector_pair_ops(spec.n, specialise(spec.theta, spec.flavor)[0])
     # torus weights y_1 >= ... >= y_r of W = default_w(theta)
     y = np.sort(np.linalg.eigvalsh(default_w(spec.theta)))[::-1][: spec.theta // 2]
     lse = scipy.special.logsumexp
